@@ -39,17 +39,17 @@ bench-submit:
 	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 0.3s ./internal/olap
 
 # Machine-readable benchmark summary: per-policy + adaptive throughput
-# on the evolving workload. CI uploads BENCH_PR10.json as an artifact,
+# on the evolving workload. CI uploads BENCH_PR12.json as an artifact,
 # and benchdata/ keeps the committed per-PR trajectory points for
 # comparison. Deterministic virtual-time runs — the short phase keeps
 # it a smoke, shapes are scale-invariant.
 bench-json:
-	$(GO) run ./cmd/anydb-bench -phase-ms 6 -json BENCH_PR10.json
+	$(GO) run ./cmd/anydb-bench -phase-ms 6 -json BENCH_PR12.json
 
 # Deterministic allocation gate: the pipelined payment path (with
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
-# shows up here) and the analytical scan-flush path must report exactly
+# shows up here) and the shared scan's streaming flush path must report exactly
 # 0 allocs/op. Fixed iteration counts keep the gate reproducible on any
 # machine; the payment path runs 100000x so cold-pool warm-up amortizes
 # below the integer allocs/op floor (a reintroduced per-op allocation

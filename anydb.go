@@ -393,11 +393,8 @@ func Open(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	// Statistics for the SQL planner (partition 0 is representative:
-	// population is symmetric across warehouses).
-	for _, tn := range db.Catalog.Tables() {
-		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
-	}
+	// Statistics for the SQL planner.
+	tpcc.Analyze(db)
 	c.heartbeat = cfg.HeartbeatInterval
 	if c.heartbeat == 0 {
 		c.heartbeat = time.Second
@@ -931,19 +928,6 @@ type QueryOptions struct {
 	CompileDelay time.Duration
 }
 
-// q3SQL is the paper's §4 query expressed against the SQL surface; the
-// OpenOrders wrappers run it through the same planner as Query.
-var q3SQL = fmt.Sprintf(`SELECT COUNT(*)
-	FROM customer
-	JOIN orders ON customer.c_w_id = orders.o_w_id
-		AND customer.c_d_id = orders.o_d_id
-		AND customer.c_id = orders.o_c_id
-	JOIN new_order ON orders.o_w_id = new_order.no_w_id
-		AND orders.o_d_id = new_order.no_d_id
-		AND orders.o_id = new_order.no_o_id
-	WHERE c_state LIKE '%s%%' AND o_entry_d >= %d`,
-	tpcc.Q3StatePrefix, tpcc.Q3SinceYear)
-
 // OpenOrders runs the paper's analytical query (§4: all open orders for
 // customers from states 'A%' since 2007) with full data beaming. It is a
 // documented wrapper over the SQL path:
@@ -969,7 +953,7 @@ func (c *Cluster) OpenOrders(ctx context.Context) (int64, error) {
 // switches drain in-flight queries, so a query never straddles a
 // routing change.
 func (c *Cluster) OpenOrdersOpts(ctx context.Context, o QueryOptions) (int64, error) {
-	res, err := c.runQuery(ctx, q3SQL, o)
+	res, err := c.runQuery(ctx, tpcc.Q3SQL, o)
 	if err != nil {
 		return 0, err
 	}
@@ -1040,39 +1024,6 @@ func (c *Cluster) QueryRow(ctx context.Context, text string) *Row {
 	return &Row{cols: rows.cols, vals: vals}
 }
 
-// QueryAll executes a query and materializes the whole result as
-// [][]any rows (int64/float64/string cells).
-//
-// Deprecated: QueryAll is the previous Query signature, kept for one
-// release as a migration shim. Use Query (streaming Rows) or QueryRow
-// instead. For a bare COUNT(*) the first return is the count itself
-// (matching the old behavior); otherwise it is the number of rows.
-func (c *Cluster) QueryAll(ctx context.Context, text string) (int64, [][]any, error) {
-	rows, err := c.Query(ctx, text)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer rows.Close()
-	var out [][]any
-	for rows.Next() {
-		vals := make([]any, len(rows.Columns()))
-		ptrs := make([]any, len(vals))
-		for i := range vals {
-			ptrs[i] = &vals[i]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			return 0, nil, err
-		}
-		out = append(out, vals)
-	}
-	cols := rows.Columns()
-	if len(out) == 1 && len(cols) == 1 && cols[0] == "count" {
-		n, _ := out[0][0].(int64)
-		return n, nil, nil
-	}
-	return int64(len(out)), out, nil
-}
-
 // computeACs picks the pool that hosts a query's joins and final sink:
 // the ACs of the highest-numbered live server. Normally that is the
 // newest server — analytics get fresh compute, disaggregated from the
@@ -1126,7 +1077,9 @@ func (c *Cluster) runQueryAt(ctx context.Context, text string, o QueryOptions, s
 	if err != nil {
 		return nil, err
 	}
-	p.Beam = o.Beam
+	if o.Beam {
+		p.Beam = plan.BeamAll
+	}
 	p.CompileTime = sim.Time(o.CompileDelay.Nanoseconds())
 
 	// Enter the epoch only once compilation succeeded (enter re-checks
@@ -1556,15 +1509,30 @@ func (c *Cluster) applyDecision(d *adapt.Decision) {
 		From: Policy(d.From), To: Policy(d.To),
 		Grew: d.Grow, Probe: d.Probe, Regret: d.Regret, Reason: d.Reason,
 	}
-	applied := false
 	if d.Grow {
 		// Fresh compute for analytics: OpenOrders places joins on the
-		// newest server, so the very next query benefits. Growth can
-		// be refused when Close races us — log only what happened.
-		ev.Kind = EvGrow
-		ev.Grew = c.AddServer(c.cores) > 0
-		applied = ev.Grew
+		// newest server, so the very next query benefits. The grown
+		// server shows in Stats the moment the topology publishes it,
+		// so the event is logged first: whoever sees the new server
+		// count finds the event in AdaptationLog. Growth is refused only
+		// when Close races us; the entry is then withdrawn, so the log
+		// keeps recording only what happened. (The controller emits
+		// grow decisions on their own, never with a move or a switch.)
+		ev.Kind, ev.Grew = EvGrow, true
+		c.mu.Lock()
+		at := len(c.adaptLog)
+		c.adaptLog = append(c.adaptLog, ev)
+		c.mu.Unlock()
+		if c.AddServer(c.cores) == 0 {
+			c.mu.Lock()
+			c.adaptLog = append(c.adaptLog[:at], c.adaptLog[at+1:]...)
+			c.mu.Unlock()
+			return
+		}
+		c.publishEvent(ev)
+		return
 	}
+	applied := false
 	if d.Move != nil {
 		// Elastic repartitioning: map the controller's owner slot to
 		// its AC and perform the live handoff. A slot past the pool
@@ -1593,6 +1561,14 @@ func (c *Cluster) applyDecision(d *adapt.Decision) {
 	}
 	c.mu.Lock()
 	c.adaptLog = append(c.adaptLog, ev)
+	c.mu.Unlock()
+	c.publishEvent(ev)
+}
+
+// publishEvent hands an applied (and already logged) adaptation event
+// to the Events subscribers.
+func (c *Cluster) publishEvent(ev AdaptationEvent) {
+	c.mu.Lock()
 	// Reap subscribers whose context ended; only the applier goroutine
 	// publishes or closes subscriber channels, so this is race-free.
 	live := c.subs[:0]

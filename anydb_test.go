@@ -489,14 +489,6 @@ func TestSQLQueryCount(t *testing.T) {
 	if n != 4*2 { // 4 warehouses × 2 districts
 		t.Fatalf("district count = %d, want 8", n)
 	}
-	// The deprecated QueryAll shim preserves the old scalar-count shape.
-	sn, rows, err := c.QueryAll(bg, "SELECT COUNT(*) FROM district")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn != n || rows != nil {
-		t.Fatalf("QueryAll count = (%d, %v), want (%d, nil)", sn, rows, n)
-	}
 }
 
 func TestSQLQueryJoinMatchesOpenOrders(t *testing.T) {

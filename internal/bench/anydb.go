@@ -1,8 +1,8 @@
 // Package bench regenerates every figure of the paper's evaluation:
 // Figure 1 (evolving workload), Figure 5 (OLTP execution strategies) and
 // Figure 6 (data beaming), plus ablations. Engines run on the
-// virtual-time kernel; see DESIGN.md §2 for the experiment index and §3
-// for the calibration rationale.
+// virtual-time kernel; the README's "Regenerating the paper's figures"
+// section indexes the experiments.
 package bench
 
 import (
@@ -13,6 +13,7 @@ import (
 	"anydb/internal/plan"
 	"anydb/internal/route"
 	"anydb/internal/sim"
+	"anydb/internal/sql"
 	"anydb/internal/storage"
 	"anydb/internal/tpcc"
 )
@@ -56,7 +57,7 @@ type AnyDB struct {
 	queries   int64
 
 	olapOn   bool
-	olapPlan func(q core.QueryID) *plan.Q3Plan
+	olapPlan func(q core.QueryID) *plan.GenericPlan
 }
 
 // NewAnyDB builds the cluster over a freshly populated database.
@@ -227,6 +228,7 @@ func (a *AnyDB) onClient(at sim.Time, ev *core.Event) {
 			a.injectNext(at)
 		}
 	case *olap.QueryResult:
+		freeResult(p)
 		a.queries++
 		if a.olapOn {
 			a.startQuery(at)
@@ -289,20 +291,20 @@ func (a *AnyDB) EnableOLAP(streams int) {
 		a.extra = append(a.extra, a.Cl.GrowServer(4, a.setupAC)...)
 	}
 	if a.olapPlan == nil {
+		tpcc.Analyze(a.DB)
 		parts := make([]int, a.Cfg.Warehouses)
 		for i := range parts {
 			parts[i] = i
 		}
-		a.olapPlan = func(q core.QueryID) *plan.Q3Plan {
+		a.olapPlan = func(q core.QueryID) *plan.GenericPlan {
 			// Spread the query streams' operators across the extra
-			// servers' ACs.
+			// servers' ACs: join1 on the first, join2 and the sink on
+			// the second.
 			base := int(q) * 2 % len(a.extra)
-			return &plan.Q3Plan{
-				Query: q, Beam: plan.BeamAll, CompileTime: 2 * sim.Millisecond,
-				Parts:   parts,
-				Join1AC: a.extra[base], Join2AC: a.extra[(base+1)%len(a.extra)],
-				Notify: core.ClientAC,
-			}
+			compute := []core.ACID{a.extra[base], a.extra[(base+1)%len(a.extra)]}
+			p := mustCompileQ3(a.DB, q, parts, compute)
+			p.Beam, p.CompileTime = plan.BeamAll, 2*sim.Millisecond
+			return p
 		}
 	}
 	if !a.olapOn {
@@ -331,4 +333,35 @@ func (a *AnyDB) startQuery(at sim.Time) {
 	a.Cl.Inject(qoAC, &core.Event{
 		Kind: core.EvQuery, Query: a.nextQID, Payload: a.olapPlan(a.nextQID),
 	}, at)
+}
+
+// mustCompileQ3 routes tpcc.Q3SQL through the generic planner, as the
+// public Cluster does: join1 runs on compute[0], join2 and the sink on
+// compute[1]. The catalog must already be analyzed (tpcc.Analyze) so
+// the join chain starts at the filtered customer scan.
+func mustCompileQ3(db *storage.Database, qid core.QueryID, parts []int, compute []core.ACID) *plan.GenericPlan {
+	q, err := sql.Parse(tpcc.Q3SQL)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	p, err := plan.CompileSQL(db.Catalog, q, qid, parts, compute, core.ClientAC)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return p
+}
+
+// resultCount returns a COUNT(*) result's value and recycles its batches.
+func resultCount(res *olap.QueryResult) int64 {
+	n := res.Batches[0].Value(0, 0).I
+	freeResult(res)
+	return n
+}
+
+// freeResult recycles a result's pooled batches.
+func freeResult(res *olap.QueryResult) {
+	for _, b := range res.Batches {
+		storage.FreeBatch(b)
+	}
+	res.Batches = nil
 }

@@ -56,7 +56,7 @@ type Fig6Result struct {
 type fig6Harness struct {
 	cl     *core.SimCluster
 	qoAC   core.ACID
-	plan   *plan.Q3Plan
+	plan   *plan.GenericPlan
 	doneAt sim.Time
 	rows   int64
 	marks  map[string]sim.Time
@@ -87,14 +87,11 @@ func newFig6Harness(db *storage.Database, cfg tpcc.Config, disagg bool) *fig6Har
 	for i := range parts {
 		parts[i] = i
 	}
-	h.plan = &plan.Q3Plan{
-		Query: 1, Parts: parts,
-		Join1AC: join1, Join2AC: join2, Notify: core.ClientAC,
-	}
+	h.plan = mustCompileQ3(db, 1, parts, []core.ACID{join1, join2})
 	h.cl.SetClient(func(at sim.Time, ev *core.Event) {
 		switch p := ev.Payload.(type) {
 		case *olap.QueryResult:
-			h.rows = p.Rows
+			h.rows = resultCount(p)
 			h.doneAt = at
 		case *olap.OpDone:
 			h.marks[p.Label] = at
@@ -124,6 +121,7 @@ func (h *fig6Harness) run(beam plan.BeamMode, compile sim.Time) Fig6Point {
 // disaggregated (network DPI flows).
 func Figure6(opts Fig6Opts) Fig6Result {
 	db, cfg := tpcc.NewDatabase(opts.Cfg)
+	tpcc.Analyze(db)
 	res := Fig6Result{
 		Points:  make(map[string][]Fig6Point),
 		Compile: opts.CompileTimes,

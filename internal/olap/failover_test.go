@@ -7,6 +7,8 @@ import (
 	"anydb/internal/core"
 	"anydb/internal/olap"
 	"anydb/internal/plan"
+	"anydb/internal/sql"
+	"anydb/internal/storage"
 	"anydb/internal/tpcc"
 )
 
@@ -19,6 +21,11 @@ func TestQueryRerouteAfterACFailure(t *testing.T) {
 	cfg := tpcc.Config{Warehouses: 4, Districts: 2, Customers: 80,
 		Items: 40, InitOrders: 60, Seed: 13}.WithDefaults()
 	db, _ := tpcc.NewDatabase(cfg)
+	tpcc.Analyze(db)
+	q3, err := sql.Parse(tpcc.Q3SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo := core.NewTopology(db)
 	s1 := topo.AddServer(4)
 	s2 := topo.AddServer(4)
@@ -34,15 +41,22 @@ func TestQueryRerouteAfterACFailure(t *testing.T) {
 	defer eng.Stop()
 	eng.SetClient(func(ev *core.Event) {
 		if r, ok := ev.Payload.(*olap.QueryResult); ok {
-			results <- r.Rows
+			results <- r.Batches[0].Value(0, 0).I
+			for _, b := range r.Batches {
+				storage.FreeBatch(b)
+			}
 		}
 	})
 	parts := []int{0, 1, 2, 3}
+	// issue compiles Q3 with join1 on join1 and join2 + the sink on
+	// join2: the routing is the compute list handed to the planner.
 	issue := func(qid core.QueryID, join1, join2 core.ACID) {
-		eng.Inject(s2[3], &core.Event{Kind: core.EvQuery, Query: qid, Payload: &plan.Q3Plan{
-			Query: qid, Beam: plan.BeamAll, Parts: parts,
-			Join1AC: join1, Join2AC: join2, Notify: core.ClientAC,
-		}})
+		p, err := plan.CompileSQL(db.Catalog, q3, qid, parts, []core.ACID{join1, join2}, core.ClientAC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Beam = plan.BeamAll
+		eng.Inject(s2[3], &core.Event{Kind: core.EvQuery, Query: qid, Payload: p})
 	}
 
 	// Baseline result on healthy ACs.

@@ -12,15 +12,15 @@ import (
 )
 
 // joinRig wires one join operator on a single-AC cluster and feeds it
-// hand-made batches.
+// hand-made batches; a collecting sink gathers the output's probe tags.
 type joinRig struct {
 	cl   *core.SimCluster
 	ac   core.ACID
-	out  []storage.Row
+	out  []int64
 	done bool
 }
 
-func newJoinRig(t *testing.T, semi bool) *joinRig {
+func newJoinRig(t *testing.T) *joinRig {
 	t.Helper()
 	db := storage.NewDatabase(1,
 		storage.NewSchema("t", storage.Column{Name: "x", Kind: storage.KInt}))
@@ -32,7 +32,12 @@ func newJoinRig(t *testing.T, semi bool) *joinRig {
 	})
 	r.cl.SetClient(func(_ sim.Time, ev *core.Event) {
 		if res, ok := ev.Payload.(*olap.QueryResult); ok {
-			r.out = res.Collected
+			for _, b := range res.Batches {
+				for i := 0; i < b.Len(); i++ {
+					r.out = append(r.out, b.Value(i, 0).I)
+				}
+				storage.FreeBatch(b)
+			}
 			r.done = true
 		}
 	})
@@ -40,8 +45,7 @@ func newJoinRig(t *testing.T, semi bool) *joinRig {
 		Query: 1,
 		Build: 1, BuildKey: []string{"bk"},
 		Probe: 2, ProbeKey: []string{"pk"},
-		Semi: semi,
-		Out:  3, To: ids[0], Producers: 1,
+		Out: 3, To: ids[0], Producers: 1,
 		Notify: core.NoAC, Label: "j",
 	}
 	r.cl.Inject(ids[0], &core.Event{Kind: core.EvInstallOp, Query: 1, Payload: spec}, 0)
@@ -72,9 +76,7 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 		for i := range probe {
 			probe[i] = int64(rng.Intn(8))
 		}
-		semi := rng.Intn(2) == 0
-
-		r := newJoinRig(t, semi)
+		r := newJoinRig(t)
 		// Split build/probe into several batches to exercise chunking.
 		sendChunks := func(stream core.StreamID, col string, vals []int64, at sim.Time) {
 			if len(vals) == 0 {
@@ -95,9 +97,12 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 		}
 		sendChunks(1, "bk", build, 10)
 		sendChunks(2, "pk", probe, 5) // probe partly beamed before build done
-		// A collector on the join output.
-		r.cl.Inject(r.ac, &core.Event{Kind: core.EvInstallOp, Query: 1, Payload: &olap.CollectSpec{
-			Query: 1, In: 3, Cols: outCols(semi), Notify: core.ClientAC,
+		// A collector on the join output: the probe tag column keeps
+		// its name in the concatenated schema (bk vs pk never collide).
+		r.cl.Inject(r.ac, &core.Event{Kind: core.EvInstallOp, Query: 1, Payload: &olap.SinkSpec{
+			Query: 1, In: 3, Cols: []string{"pk_tag"},
+			OutCols: []string{"pk_tag"}, OutKinds: []storage.Kind{storage.KInt},
+			Limit: -1, Notify: core.ClientAC,
 		}}, 0)
 		r.cl.Run()
 		if !r.done {
@@ -111,24 +116,15 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 			bset[b]++
 		}
 		for i, p := range probe {
-			if cnt := bset[p]; cnt > 0 {
-				if semi {
-					want = append(want, int64(i))
-				} else {
-					for k := 0; k < cnt; k++ {
-						want = append(want, int64(i))
-					}
-				}
+			for k := 0; k < bset[p]; k++ {
+				want = append(want, int64(i))
 			}
 		}
-		var got []int64
-		for _, row := range r.out {
-			got = append(got, row[0].I)
-		}
+		got := r.out
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(got) != len(want) {
-			t.Fatalf("trial %d (semi=%v): %d rows, want %d", trial, semi, len(got), len(want))
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -137,8 +133,3 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 		}
 	}
 }
-
-// outCols picks the probe tag column in the join output schema: for semi
-// joins the output is the probe row; for inner joins the probe columns
-// keep their names unless they collide (they don't here: bk vs pk).
-func outCols(bool) []string { return []string{"pk_tag"} }

@@ -1,12 +1,14 @@
 package olap_test
 
 import (
+	"strings"
 	"testing"
 
 	"anydb/internal/core"
 	"anydb/internal/olap"
 	"anydb/internal/plan"
 	"anydb/internal/sim"
+	"anydb/internal/sql"
 	"anydb/internal/storage"
 	"anydb/internal/tpcc"
 )
@@ -17,18 +19,19 @@ func testCfg() tpcc.Config {
 }
 
 // harness wires storage owners on server 1 and join ACs either on server
-// 1 (aggregated) or server 2 (disaggregated).
+// 1 (aggregated) or server 2 (disaggregated), and runs the paper's Q3
+// (tpcc.Q3SQL) compiled by the generic planner.
 type harness struct {
-	cl      *core.SimCluster
-	qoAC    core.ACID
-	plan    *plan.Q3Plan
-	rows    int64
-	doneAt  sim.Time
-	events  map[string]sim.Time // OpDone label -> time
-	started sim.Time
+	cl     *core.SimCluster
+	qoAC   core.ACID
+	plan   *plan.GenericPlan
+	rows   int64
+	doneAt sim.Time
+	events map[string]sim.Time // OpDone label -> time
 }
 
-func build(db *storage.Database, cfg tpcc.Config, disagg bool, dpi bool) *harness {
+func build(t *testing.T, db *storage.Database, cfg tpcc.Config, disagg bool, dpi bool) *harness {
+	t.Helper()
 	topo := core.NewTopology(db)
 	s1 := topo.AddServer(4)
 	s2 := topo.AddServer(4)
@@ -47,16 +50,26 @@ func build(db *storage.Database, cfg tpcc.Config, disagg bool, dpi bool) *harnes
 		join1, join2 = s2[0], s2[1]
 	}
 	h.qoAC = s2[3]
-	h.plan = &plan.Q3Plan{
-		Query: 1, Beam: plan.BeamNone, CompileTime: 2 * sim.Millisecond,
-		Parts:   []int{0, 1, 2, 3},
-		Join1AC: join1, Join2AC: join2,
-		Notify: core.ClientAC,
+	tpcc.Analyze(db)
+	q, err := sql.Parse(tpcc.Q3SQL)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// join1 (build customer, probe orders) on join1; join2 (probe
+	// new_order) and the counting sink on join2.
+	h.plan, err = plan.CompileSQL(db.Catalog, q, 1, []int{0, 1, 2, 3},
+		[]core.ACID{join1, join2}, core.ClientAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.plan.CompileTime = 2 * sim.Millisecond
 	h.cl.SetClient(func(at sim.Time, ev *core.Event) {
 		switch p := ev.Payload.(type) {
 		case *olap.QueryResult:
-			h.rows = p.Rows
+			h.rows = p.Batches[0].Value(0, 0).I
+			for _, b := range p.Batches {
+				storage.FreeBatch(b)
+			}
 			h.doneAt = at
 		case *olap.OpDone:
 			h.events[p.Label] = at
@@ -81,7 +94,10 @@ func TestQ3CorrectAllModes(t *testing.T) {
 				if want == 0 {
 					t.Fatal("oracle returned 0 rows; enlarge the dataset")
 				}
-				h := build(db, cfg, disagg, dpi)
+				h := build(t, db, cfg, disagg, dpi)
+				if d := h.plan.Describe(); !strings.HasPrefix(d, "scan customer ") {
+					t.Fatalf("join chain must start at the filtered customer scan (the beamed build side):\n%s", d)
+				}
 				h.run(beam)
 				if h.rows != want {
 					t.Fatalf("disagg=%v dpi=%v beam=%v: rows=%d want=%d",
@@ -110,7 +126,7 @@ func TestBeamingHidesTransfer(t *testing.T) {
 	times := make(map[plan.BeamMode]sim.Time)
 	for _, beam := range []plan.BeamMode{plan.BeamNone, plan.BeamBuild, plan.BeamAll} {
 		db, _ := tpcc.NewDatabase(cfg)
-		h := build(db, cfg, true, true)
+		h := build(t, db, cfg, true, true)
 		h.plan.CompileTime = 5 * sim.Millisecond
 		h.run(beam)
 		times[beam] = h.doneAt
@@ -133,13 +149,13 @@ func TestBeamedBuildFinishesEarly(t *testing.T) {
 	compile := 10 * sim.Millisecond
 
 	db1, _ := tpcc.NewDatabase(cfg)
-	h1 := build(db1, cfg, true, true)
+	h1 := build(t, db1, cfg, true, true)
 	h1.plan.CompileTime = compile
 	h1.run(plan.BeamNone)
 	noBeam := h1.events["join1/build"] - compile
 
 	db2, _ := tpcc.NewDatabase(cfg)
-	h2 := build(db2, cfg, true, true)
+	h2 := build(t, db2, cfg, true, true)
 	h2.plan.CompileTime = compile
 	h2.run(plan.BeamBuild)
 	beamed := h2.events["join1/build"] - compile
@@ -149,28 +165,6 @@ func TestBeamedBuildFinishesEarly(t *testing.T) {
 	}
 	if beamed > noBeam/2 {
 		t.Fatalf("beamed build runtime %v should be well under unbeamed %v", beamed, noBeam)
-	}
-}
-
-func TestPredicates(t *testing.T) {
-	sch := storage.NewSchema("t",
-		storage.Column{Name: "s", Kind: storage.KStr},
-		storage.Column{Name: "n", Kind: storage.KInt})
-	row := storage.Row{storage.Str("AZ"), storage.Int(2010)}
-	if !(olap.Predicate{Kind: olap.PredNone}).Matches(sch, row) {
-		t.Fatal("PredNone")
-	}
-	if !(olap.Predicate{Col: "s", Kind: olap.PredPrefix, Prefix: "A"}).Matches(sch, row) {
-		t.Fatal("prefix hit")
-	}
-	if (olap.Predicate{Col: "s", Kind: olap.PredPrefix, Prefix: "B"}).Matches(sch, row) {
-		t.Fatal("prefix miss")
-	}
-	if !(olap.Predicate{Col: "n", Kind: olap.PredGEInt, MinI: 2007}).Matches(sch, row) {
-		t.Fatal("ge hit")
-	}
-	if (olap.Predicate{Col: "n", Kind: olap.PredGEInt, MinI: 2011}).Matches(sch, row) {
-		t.Fatal("ge miss")
 	}
 }
 

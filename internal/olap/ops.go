@@ -1,17 +1,17 @@
 // Package olap implements AnyDB's analytical operators as AnyComponent
-// behaviors: chunked filtered scans that actively push columnar batches
-// into data streams, hash joins whose build and probe sides are separate
-// streams (so either can be beamed ahead of time, §4), and a counting
-// aggregate. Operators are installed by EvInstallOp events; which AC they
-// land on — co-located with storage (aggregated) or on another server
-// (disaggregated) — is purely a routing decision.
+// behaviors: shared scans that actively push columnar batches into data
+// streams (sharedscan.go), hash joins whose build and probe sides are
+// separate streams (so either can be beamed ahead of time, §4), and the
+// generic sink that terminates every query (sink.go). Operators are
+// installed by EvInstallOp events; which AC they land on — co-located
+// with storage (aggregated) or on another server (disaggregated) — is
+// purely a routing decision.
 package olap
 
 import (
 	"fmt"
 
 	"anydb/internal/core"
-	"anydb/internal/sim"
 	"anydb/internal/storage"
 )
 
@@ -45,77 +45,6 @@ type Predicate struct {
 	MinI   int64
 }
 
-// colIdx resolves the predicate's column against schema once (PredNone
-// has no column and resolves to -1); evaluation then uses matchesAt so
-// the per-row path never probes the name map.
-func (p *Predicate) colIdx(schema *storage.Schema) int {
-	if p.Kind == PredNone {
-		return -1
-	}
-	return schema.MustCol(p.Col)
-}
-
-// Matches evaluates the predicate on a row of the given schema. Cold
-// path — per-row evaluation resolves the column every call; scans
-// resolve once with colIdx and use matchesAt.
-func (p Predicate) Matches(schema *storage.Schema, row storage.Row) bool {
-	return p.matchesAt(p.colIdx(schema), row)
-}
-
-// matchesAt evaluates the predicate against the pre-resolved column.
-func (p *Predicate) matchesAt(col int, row storage.Row) bool {
-	switch p.Kind {
-	case PredNone:
-		return true
-	case PredPrefix:
-		v := row[col].S
-		return len(v) >= len(p.Prefix) && v[:len(p.Prefix)] == p.Prefix
-	case PredGEInt:
-		return row[col].I >= p.MinI
-	case PredLTInt:
-		return row[col].I < p.MinI
-	case PredEqInt:
-		return row[col].I == p.MinI
-	case PredNeInt:
-		return row[col].I != p.MinI
-	case PredEqStr:
-		return row[col].S == p.Str
-	default:
-		panic("olap: unknown predicate kind")
-	}
-}
-
-// ScanSpec instructs an AC to scan one partition's table, filter,
-// project, and push batches into Out toward To. The scan runs in chunks,
-// re-enqueueing itself between chunks so OLTP events interleave (the
-// non-blocking rule applied to long-running operators).
-type ScanSpec struct {
-	Query     core.QueryID
-	Table     storage.TableID
-	Part      int
-	Filters   []Predicate // AND-composed
-	Cols      []string
-	Out       core.StreamID
-	To        core.ACID
-	Producers int // fan-in of Out (number of parallel scans feeding it)
-	ChunkRows int
-	BatchRows int
-
-	cursor int32
-	schema *storage.Schema
-	batch  *storage.Batch
-	cols   []int
-	fcols  []int // Filters[i].Col resolved once against the schema
-	rowBuf storage.Row
-}
-
-// DefaultChunkRows bounds rows scanned per event; DefaultBatchRows is the
-// target batch granularity for the data stream.
-const (
-	DefaultChunkRows = 2048
-	DefaultBatchRows = 1024
-)
-
 // JoinSpec instructs an AC to hash-join two incoming streams. The build
 // side is consumed entirely first (NeedClosed semantics); probe batches
 // stream through afterwards — any probe data beamed early waits staged at
@@ -126,54 +55,35 @@ type JoinSpec struct {
 	BuildKey []string // join key columns in the build batch schema
 	Probe    core.StreamID
 	ProbeKey []string
-	// Semi emits only matching probe rows (sufficient for the paper's
-	// query); otherwise the concatenated row is produced.
-	Semi      bool
+	// Out carries the concatenated build+probe rows of every match.
 	Out       core.StreamID
 	To        core.ACID
 	Producers int
 	// Notify receives EvOpDone events at build completion and probe
-	// completion (the harness's Figure 6 instrumentation).
+	// completion (Figure 6's build/probe marks); core.NoAC disables them.
 	Notify core.ACID
 	Label  string
-}
-
-// AggSpec counts rows of a stream and reports the result.
-type AggSpec struct {
-	Query core.QueryID
-	In    core.StreamID
-	// Notify receives the EvQueryDone event carrying *QueryResult.
-	Notify core.ACID
 }
 
 // QueryResult is the payload of EvQueryDone.
 type QueryResult struct {
 	Query core.QueryID
-	// Rows is the result-row count for SinkSpec queries; legacy
-	// AggSpec sinks report the counted input rows here instead.
+	// Rows is the result-row count.
 	Rows int64
-	// Cols and Batches carry the result set of SinkSpec sinks: pooled
-	// columnar batches, in order, whose consumer frees them (or hands
-	// them to anydb.Rows, which frees as the caller iterates).
+	// Cols and Batches carry the result set: pooled columnar batches,
+	// in order, whose consumer frees them (or hands them to anydb.Rows,
+	// which frees as the caller iterates).
 	Cols    []string
 	Batches []*storage.Batch
-	// Collected carries projected result rows for CollectSpec sinks
-	// (capped at CollectCap; Truncated reports overflow).
-	Collected []storage.Row
+	// Truncated reports a result cut at CollectCap rows.
 	Truncated bool
 }
 
-// CollectSpec gathers projected result rows of a stream and reports them
-// (small results; the sink caps at CollectCap rows).
-type CollectSpec struct {
-	Query  core.QueryID
-	In     core.StreamID
-	Cols   []string
-	Notify core.ACID
-}
-
-// CollectCap bounds collected result sets.
+// CollectCap bounds result sets.
 const CollectCap = 16384
+
+// DefaultBatchRows is the target batch granularity for data streams.
+const DefaultBatchRows = 1024
 
 // OpDone is the payload of EvOpDone.
 type OpDone struct {
@@ -194,21 +104,12 @@ type Worker struct {
 // OnEvent implements core.Behavior.
 func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 	switch spec := ev.Payload.(type) {
-	case *ScanSpec:
-		w.scanChunk(ctx, ac, ev, spec)
 	case *SharedScanSpec:
 		w.attachShared(ctx, ev, spec)
 	case *sharedScan:
 		spec.step(ctx, w)
 	case *JoinSpec:
 		newJoin(ctx, ac, spec)
-		core.FreeEvent(ev)
-	case *AggSpec:
-		agg := &aggState{spec: spec}
-		ac.Subscribe(ctx, spec.In, agg)
-		core.FreeEvent(ev)
-	case *CollectSpec:
-		ac.Subscribe(ctx, spec.In, &collectState{spec: spec})
 		core.FreeEvent(ev)
 	case *SinkSpec:
 		newSink(ctx, ac, spec)
@@ -218,99 +119,11 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 	}
 }
 
-// scanChunk advances a scan by one chunk and re-enqueues the event until
-// the table is exhausted.
-func (w *Worker) scanChunk(ctx core.Context, _ *core.AC, ev *core.Event, s *ScanSpec) {
-	if s.schema == nil {
-		t := w.DB.Partition(s.Part).TableByID(s.Table)
-		s.schema = t.Schema
-		s.cols = make([]int, len(s.Cols))
-		outCols := make([]storage.Column, len(s.Cols))
-		for i, c := range s.Cols {
-			s.cols[i] = t.Schema.MustCol(c)
-			outCols[i] = t.Schema.Cols[s.cols[i]]
-		}
-		s.fcols = make([]int, len(s.Filters))
-		for i := range s.Filters {
-			s.fcols[i] = s.Filters[i].colIdx(t.Schema)
-		}
-		s.batch = storage.GetBatch(storage.NewSchema(t.Schema.Name+"_scan", outCols...))
-		s.rowBuf = make(storage.Row, len(s.cols))
-		if s.ChunkRows == 0 {
-			s.ChunkRows = DefaultChunkRows
-		}
-		if s.BatchRows == 0 {
-			s.BatchRows = DefaultBatchRows
-		}
-	}
-	t := w.DB.Partition(s.Part).TableByID(s.Table)
-	costs := ctx.Costs()
-	offloaded := ctx.Offloaded(s.To)
-	next, done := t.ScanRange(s.cursor, s.ChunkRows, func(_ int32, row storage.Row) bool {
-		ctx.Charge(costs.ScanRow)
-		for i := range s.Filters {
-			if !s.Filters[i].matchesAt(s.fcols[i], row) {
-				return true
-			}
-		}
-		// AppendRow copies, so one scratch row serves the whole scan.
-		for i, c := range s.cols {
-			s.rowBuf[i] = row[c]
-		}
-		s.batch.AppendRow(s.rowBuf)
-		if !offloaded {
-			// Shuffle partitioning runs on this core unless a DPI
-			// flow carries the stream (§4's co-processor effect).
-			ctx.Charge(costs.PartitionRow)
-		}
-		if s.batch.Len() >= s.BatchRows {
-			w.flush(ctx, s, false)
-		}
-		return true
-	})
-	s.cursor = next
-	if done {
-		w.flush(ctx, s, true)
-		// The scan is over; its continuation envelope dies here.
-		core.FreeEvent(ev)
-		return
-	}
-	// Yield: re-enqueue the continuation behind whatever else queued.
-	ctx.Send(ctx.Self(), ev)
-}
-
-// flush emits the accumulated batch (if any) as one pooled data message.
-// The scan's batch scratch is recycled, not reallocated: the consumer
-// frees each emitted batch at its death point, so steady-state flushing
-// allocates nothing.
-func (w *Worker) flush(ctx core.Context, s *ScanSpec, last bool) {
-	if s.batch.Len() == 0 && !last {
-		return
-	}
-	msg := core.GetDataMsg()
-	msg.Stream, msg.Query, msg.Last, msg.Producers = s.Out, s.Query, last, s.Producers
-	if s.batch.Len() > 0 {
-		msg.Batch = s.batch
-		if last {
-			s.batch = nil
-		} else {
-			s.batch = storage.GetBatch(msg.Batch.Schema)
-		}
-	} else {
-		// Final flush with an empty scratch: the scan is done, the
-		// scratch dies here.
-		storage.FreeBatch(s.batch)
-		s.batch = nil
-	}
-	ctx.SendData(s.To, msg)
-}
-
 // joinState is a two-phase hash join bound to one AC.
 type joinState struct {
 	spec  *JoinSpec
-	ht    map[joinKey][]int32 // build key -> build row indexes (inner) or presence (semi)
+	ht    map[joinKey][]int32 // build key -> build row indexes
 	build []*storage.Batch
-	built bool
 	out   *storage.Batch
 }
 
@@ -356,24 +169,16 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 		}
 		cols := colIdx(msg.Batch.Schema, st.spec.BuildKey)
 		bi := len(st.build)
-		if !st.spec.Semi {
-			// Inner joins materialize build rows at probe time, so the
-			// batch must live until the probe side closes.
-			st.build = append(st.build, msg.Batch)
-		}
+		// Build rows materialize at probe time, so the batch lives
+		// until the probe side closes.
+		st.build = append(st.build, msg.Batch)
 		for r := 0; r < msg.Batch.Len(); r++ {
 			ctx.Charge(buildCost)
 			k := keyOf(msg.Batch, r, cols)
 			st.ht[k] = append(st.ht[k], int32(bi)<<16|int32(r))
 		}
-		if st.spec.Semi {
-			// A semi join only ever consults key presence: the build
-			// rows are dead as soon as they are hashed.
-			storage.FreeBatch(msg.Batch)
-		}
 	}
 	if msg.Last {
-		st.built = true
 		if st.spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, st.spec.Query
@@ -406,14 +211,10 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 			if len(matches) == 0 {
 				continue
 			}
-			if spec.Semi {
-				st.out.AppendRow(msg.Batch.Row(r))
-			} else {
-				for _, m := range matches {
-					b := st.build[m>>16]
-					row := append(b.Row(int(m&0xffff)), msg.Batch.Row(r)...)
-					st.out.AppendRow(row)
-				}
+			for _, m := range matches {
+				b := st.build[m>>16]
+				row := append(b.Row(int(m&0xffff)), msg.Batch.Row(r)...)
+				st.out.AppendRow(row)
 			}
 			if st.out.Len() >= DefaultBatchRows {
 				st.emit(ctx, false)
@@ -424,9 +225,7 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 	if msg.Last {
 		st.emit(ctx, true)
-		// The join is over: release the build side (inner joins only —
-		// semi builds were recycled as they were hashed) and the hash
-		// table.
+		// The join is over: release the build side and the hash table.
 		for _, b := range st.build {
 			storage.FreeBatch(b)
 		}
@@ -460,7 +259,7 @@ func (st *joinState) emit(ctx core.Context, last bool) {
 }
 
 func outSchema(st *joinState, probe *storage.Schema) *storage.Schema {
-	if st.spec.Semi || len(st.build) == 0 {
+	if len(st.build) == 0 {
 		return probe
 	}
 	return storage.ConcatSchema("join_out", st.build[0].Schema, probe)
@@ -472,60 +271,4 @@ func colIdx(s *storage.Schema, names []string) []int {
 		out[i] = s.MustCol(n)
 	}
 	return out
-}
-
-// aggState counts rows.
-type aggState struct {
-	spec *AggSpec
-	rows int64
-}
-
-func (a *aggState) OnData(ctx core.Context, _ *core.AC, msg *core.DataMsg) {
-	if msg.Batch != nil {
-		ctx.Charge(ctx.Costs().AggRow * sim.Time(msg.Batch.Len()))
-		a.rows += int64(msg.Batch.Len())
-		// The aggregate only counts: the batch dies here.
-		storage.FreeBatch(msg.Batch)
-	}
-	if msg.Last {
-		done := core.GetEvent()
-		done.Kind, done.Query = core.EvQueryDone, a.spec.Query
-		done.Payload = &QueryResult{Query: a.spec.Query, Rows: a.rows}
-		ctx.Send(a.spec.Notify, done)
-	}
-}
-
-// collectState materializes projected result rows.
-type collectState struct {
-	spec      *CollectSpec
-	rows      []storage.Row
-	truncated bool
-	n         int64
-}
-
-func (c *collectState) OnData(ctx core.Context, _ *core.AC, msg *core.DataMsg) {
-	if msg.Batch != nil {
-		ctx.Charge(ctx.Costs().AggRow * sim.Time(msg.Batch.Len()))
-		c.n += int64(msg.Batch.Len())
-		proj := msg.Batch.Project(c.spec.Cols...)
-		for r := 0; r < proj.Len(); r++ {
-			if len(c.rows) >= CollectCap {
-				c.truncated = true
-				break
-			}
-			c.rows = append(c.rows, proj.Row(r))
-		}
-		// Row copies out of the projection; both batches die here.
-		storage.FreeBatch(proj)
-		storage.FreeBatch(msg.Batch)
-	}
-	if msg.Last {
-		done := core.GetEvent()
-		done.Kind, done.Query = core.EvQueryDone, c.spec.Query
-		done.Payload = &QueryResult{
-			Query: c.spec.Query, Rows: c.n,
-			Collected: c.rows, Truncated: c.truncated,
-		}
-		ctx.Send(c.spec.Notify, done)
-	}
 }

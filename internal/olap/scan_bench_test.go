@@ -12,23 +12,20 @@ import (
 // flushSink is a stub core.Context standing in for the runtime on the
 // scan hot path: it plays the single consumer of the emitted stream,
 // recycling each batch and envelope at their death points exactly like
-// the real sinks (agg/collect/join) do.
+// the real consumers (join, sink) do.
 type flushSink struct {
 	costs   sim.CostModel
-	resent  *core.Event
 	batches int64
 	rows    int64
 }
 
-func (c *flushSink) Self() core.ACID          { return 0 }
-func (c *flushSink) Now() sim.Time            { return 0 }
-func (c *flushSink) Charge(sim.Time)          {}
-func (c *flushSink) Costs() *sim.CostModel    { return &c.costs }
-func (c *flushSink) Topology() *core.Topology { return nil }
-func (c *flushSink) Offloaded(core.ACID) bool { return true }
-func (c *flushSink) Send(_ core.ACID, ev *core.Event) {
-	c.resent = ev // the scan re-enqueueing its continuation
-}
+func (c *flushSink) Self() core.ACID             { return 0 }
+func (c *flushSink) Now() sim.Time               { return 0 }
+func (c *flushSink) Charge(sim.Time)             {}
+func (c *flushSink) Costs() *sim.CostModel       { return &c.costs }
+func (c *flushSink) Topology() *core.Topology    { return nil }
+func (c *flushSink) Offloaded(core.ACID) bool    { return true }
+func (c *flushSink) Send(core.ACID, *core.Event) {}
 func (c *flushSink) SendData(_ core.ACID, msg *core.DataMsg) {
 	if msg.Batch != nil {
 		c.batches++
@@ -39,11 +36,13 @@ func (c *flushSink) SendData(_ core.ACID, msg *core.DataMsg) {
 }
 
 // BenchmarkScanFlush measures the steady-state allocation cost of the
-// analytical scan's flush path: one op is one full chunked scan of a
-// customer partition (several batch flushes + EOS). With the batch and
-// data-message pools, flushes must show zero steady-state batch
-// allocations — the scratch batch recycles through the consumer and
-// back.
+// shared scan's streaming path: one op folds every columnar chunk of a
+// customer partition through one streaming registration (several batch
+// flushes), then sends the final flush. With the batch and data-message
+// pools, flushes must show zero steady-state allocations — the scratch
+// batch recycles through the consumer and back. The registration is
+// compiled once, outside the timed loop: its setup is per query, not
+// per chunk.
 //
 //	go test -bench ScanFlush -benchmem ./internal/olap
 func BenchmarkScanFlush(b *testing.B) {
@@ -52,45 +51,31 @@ func BenchmarkScanFlush(b *testing.B) {
 	db := storage.NewDatabase(cfg.Warehouses, tpcc.Schemas()...)
 	tpcc.Populate(db, cfg)
 
-	w := &Worker{DB: db}
+	t := db.Partition(0).TableByID(tpcc.TCustomerID)
 	ctx := &flushSink{costs: sim.DefaultCosts()}
-	spec := &ScanSpec{
+	r := newScanReg(t, &SharedScanSpec{
 		Query: 1, Table: tpcc.TCustomerID, Part: 0,
 		Cols: []string{"c_w_id", "c_d_id", "c_id"},
-		Out:  7, To: 1, Producers: 1,
-	}
-	// Each pass draws a fresh pooled install event, exactly as a real
-	// query install does: the worker frees the event at scan completion
-	// (its death point), so reusing one event across passes would be a
-	// use-after-free against the pool.
-	scan := func() {
-		ev := core.GetEvent()
-		ev.Kind, ev.Payload = core.EvInstallOp, spec
-		spec.cursor = 0
-		for {
-			ctx.resent = nil
-			w.OnEvent(ctx, nil, ev)
-			if ctx.resent == nil {
-				return // final flush sent; the scratch was recycled
-			}
+		Out:  7, To: 1, Producers: 1, BatchRows: DefaultBatchRows,
+	})
+	schema := r.out.Schema
+	var match []int32
+	pass := func() {
+		for ci := 0; ci < t.NumColChunks(); ci++ {
+			chunk := t.ColChunk(ci)
+			match = matchChunk(chunk, r.preds, match)
+			r.foldStream(ctx, chunk, match)
 		}
+		r.flush(ctx, true) // the final flush hands the scratch downstream
 	}
-	// The scan's output schema, as the lazy init builds it.
-	t := db.Partition(0).Table(tpcc.TCustomer)
-	outCols := make([]storage.Column, len(spec.Cols))
-	for i, cn := range spec.Cols {
-		outCols[i] = t.Schema.Cols[t.Schema.MustCol(cn)]
-	}
-	scanSchema := storage.NewSchema(tpcc.TCustomer+"_scan", outCols...)
-
-	scan() // warm: lazy spec init + pool population
+	pass() // warm: chunk cache, match buffer and pool population
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A finished scan releases its scratch; a new pass re-draws it
-		// from the pool, as each new query's ScanSpec does.
-		spec.batch = storage.GetBatch(scanSchema)
-		scan()
+		// A finished pass released its scratch; a new pass re-draws it
+		// from the pool, as each new registration does.
+		r.out = storage.GetBatch(schema)
+		pass()
 	}
 	b.StopTimer()
 	if ctx.rows == 0 || ctx.batches == 0 {

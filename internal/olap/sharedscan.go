@@ -16,7 +16,7 @@ import (
 // cursor, many queries" applied to AnyDB's operator plane) and the
 // generic query sink that terminates every planned query.
 //
-// A SharedScanSpec does not start a private cursor like ScanSpec does.
+// A SharedScanSpec does not start a private cursor of its own.
 // It REGISTERS with the per-(table, partition) shared cursor living on
 // the owning AC: the registration compiles its predicates against the
 // table schema once, joins the pass at the cursor's current chunk, and
@@ -73,8 +73,8 @@ type AggExpr struct {
 // partition's table. Two modes:
 //
 //   - streaming (len(Aggs) == 0): matching rows are projected onto Cols
-//     and pushed into Out in pooled batches — the shared-scan analogue
-//     of ScanSpec, feeding joins or a collecting sink;
+//     and pushed into Out in pooled batches, feeding joins or a
+//     collecting sink;
 //   - aggregate pushdown (len(Aggs) > 0): matching rows fold into a
 //     grouped partial-aggregate table private to the registration, and
 //     one partial batch (layout: group columns, then per-aggregate
@@ -528,6 +528,43 @@ type sharedScan struct {
 // recycled as the driver continuation when one is needed.
 func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScanSpec) {
 	t := w.DB.Partition(spec.Part).TableByID(spec.Table)
+	r := newScanReg(t, spec)
+	r.total = t.NumColChunks()
+	if r.total == 0 {
+		// Empty table: the pass is already over; the install event dies.
+		r.finish(ctx)
+		core.FreeEvent(ev)
+		return
+	}
+
+	key := sharedKey{table: spec.Table, part: spec.Part}
+	ss := w.shared[key]
+	if ss != nil {
+		// Join the in-flight pass at the cursor's current position; the
+		// install event is dead (a continuation is already circulating).
+		r.next = ss.cursor
+		if r.next >= r.total {
+			r.next = 0
+		}
+		ss.regs = append(ss.regs, r)
+		core.FreeEvent(ev)
+		return
+	}
+	if w.shared == nil {
+		w.shared = make(map[sharedKey]*sharedScan)
+	}
+	ss = &sharedScan{key: key, ev: ev}
+	ss.regs = append(ss.regs, r)
+	w.shared[key] = ss
+	// Reuse the install event as the driver continuation.
+	ev.Payload = ss
+	ctx.Send(ctx.Self(), ev)
+}
+
+// newScanReg compiles spec against table t: predicates, the streaming
+// projection or the partial-aggregate layout, and the private result
+// state. The pass window is the caller's to set.
+func newScanReg(t *storage.Table, spec *SharedScanSpec) *scanReg {
 	r := &scanReg{spec: spec}
 	r.preds = make([]compiledPred, 0, len(spec.Filters))
 	for _, f := range spec.Filters {
@@ -577,37 +614,7 @@ func (w *Worker) attachShared(ctx core.Context, ev *core.Event, spec *SharedScan
 		r.groups = make(map[string]*groupAcc)
 		r.denseOK = spec.DictGroups && len(spec.GroupBy) > 0 && groupedFastPath.Load()
 	}
-
-	r.total = t.NumColChunks()
-	if r.total == 0 {
-		// Empty table: the pass is already over; the install event dies.
-		r.finish(ctx)
-		core.FreeEvent(ev)
-		return
-	}
-
-	key := sharedKey{table: spec.Table, part: spec.Part}
-	ss := w.shared[key]
-	if ss != nil {
-		// Join the in-flight pass at the cursor's current position; the
-		// install event is dead (a continuation is already circulating).
-		r.next = ss.cursor
-		if r.next >= r.total {
-			r.next = 0
-		}
-		ss.regs = append(ss.regs, r)
-		core.FreeEvent(ev)
-		return
-	}
-	if w.shared == nil {
-		w.shared = make(map[sharedKey]*sharedScan)
-	}
-	ss = &sharedScan{key: key, ev: ev}
-	ss.regs = append(ss.regs, r)
-	w.shared[key] = ss
-	// Reuse the install event as the driver continuation.
-	ev.Payload = ss
-	ctx.Send(ctx.Self(), ev)
+	return r
 }
 
 // step advances the shared cursor one chunk: every registration whose
@@ -1063,7 +1070,9 @@ func partialWidth(aggs []AggExpr) int {
 }
 
 // flush emits the registration's accumulated streaming batch as one
-// pooled data message (mirrors ScanSpec.flush).
+// pooled data message. The scratch batch is recycled, not reallocated:
+// the consumer frees each emitted batch at its death point, so
+// steady-state flushing allocates nothing.
 func (r *scanReg) flush(ctx core.Context, last bool) {
 	if r.out.Len() == 0 && !last {
 		return

@@ -22,9 +22,11 @@ import (
 type GenericPlan struct {
 	Query       core.QueryID
 	CompileTime sim.Time
-	Beam        bool
+	Beam        BeamMode
 	Parts       []int
-	Notify      core.ACID
+	// Notify receives the EvQueryDone result and each join's EvOpDone
+	// build/probe marks.
+	Notify core.ACID
 
 	scans   []scanTemplate
 	joins   []*olap.JoinSpec
@@ -307,9 +309,8 @@ func CompileSQL(cat *storage.Catalog, q *sql.Query, qid core.QueryID,
 			Query: qid,
 			Build: accStream, BuildKey: buildKeys,
 			Probe: probeStream, ProbeKey: probeKeys,
-			Semi: false,
-			Out:  out, To: outTo, Producers: 1,
-			Notify: core.NoAC, Label: fmt.Sprintf("join%d", i),
+			Out: out, To: outTo, Producers: 1,
+			Notify: notify, Label: fmt.Sprintf("join%d", i),
 		})
 		p.joinACs = append(p.joinACs, joinAC(i))
 		accSchemas = append(accSchemas, scanSchema(infos[t], needed))
@@ -542,10 +543,16 @@ func itemCols(items []outItem) []string {
 	return out
 }
 
-// OnGenericPlan is the QO-side emission (called from QO.OnEvent).
-func (q *QO) onGenericPlan(ctx core.Context, p *GenericPlan) {
-	emitScans := func() {
+// emit is the QO-side emission (called from QO.OnEvent): beamed scans,
+// the compile window, then the remaining scans, the joins and the sink.
+func (q *QO) emit(ctx core.Context, p *GenericPlan) {
+	emitScans := func(beamed bool) {
 		for i := range p.scans {
+			// BeamBuild beams only the first scan of the join chain
+			// (the build side of join1).
+			if (p.Beam == BeamAll || p.Beam == BeamBuild && i == 0) != beamed {
+				continue
+			}
 			sc := &p.scans[i]
 			for _, part := range p.Parts {
 				ev := core.GetEvent()
@@ -560,13 +567,9 @@ func (q *QO) onGenericPlan(ctx core.Context, p *GenericPlan) {
 			}
 		}
 	}
-	if p.Beam {
-		emitScans()
-	}
+	emitScans(true)
 	ctx.Charge(p.CompileTime)
-	if !p.Beam {
-		emitScans()
-	}
+	emitScans(false)
 	for i, js := range p.joins {
 		ev := core.GetEvent()
 		ev.Kind, ev.Query, ev.Payload = core.EvInstallOp, p.Query, js

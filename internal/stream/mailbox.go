@@ -1,3 +1,8 @@
+// Package stream provides the queue primitives that carry event and data
+// streams between AnyComponents: MPSC is an unbounded lock-free
+// multi-producer queue used for AC inboxes, and Mailbox adds blocking
+// receive on top of it. (The paper's prototype uses Folly's SPSC queue
+// for local data beaming; here every local hop rides a Mailbox.)
 package stream
 
 import (

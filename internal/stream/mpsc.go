@@ -5,6 +5,10 @@ import (
 	"sync/atomic"
 )
 
+// cacheLinePad separates hot atomics so producer and consumer do not
+// false-share a cache line.
+type cacheLinePad struct{ _ [64]byte }
+
 // mpscNode is a link in the MPSC queue. Nodes are heap allocated; Go's GC
 // makes the classic Vyukov design safe without hazard pointers. Popped
 // nodes are recycled through a per-queue pool, so a steady-state

@@ -1,6 +1,10 @@
 package tpcc
 
-import "anydb/internal/storage"
+import (
+	"fmt"
+
+	"anydb/internal/storage"
+)
 
 // The CH-benCHmark-style query of the paper's §4 experiment (based on
 // CH-benCHmark Q3 [3]): "report all open orders for all customers from
@@ -14,6 +18,27 @@ const Q3StatePrefix = "A"
 // Q3SinceYear filters orders by entry year (13 of 20 populated years
 // qualify, ≈65% selectivity).
 const Q3SinceYear = 2007
+
+// Q3SQL is the query as SQL text. The public OpenOrders and the figure
+// harnesses compile this one definition through the generic planner.
+var Q3SQL = fmt.Sprintf(`SELECT COUNT(*)
+	FROM customer
+	JOIN orders ON customer.c_w_id = orders.o_w_id
+		AND customer.c_d_id = orders.o_d_id
+		AND customer.c_id = orders.o_c_id
+	JOIN new_order ON orders.o_w_id = new_order.no_w_id
+		AND orders.o_d_id = new_order.no_d_id
+		AND orders.o_id = new_order.no_o_id
+	WHERE c_state LIKE '%s%%' AND o_entry_d >= %d`,
+	Q3StatePrefix, Q3SinceYear)
+
+// Analyze refreshes the planner statistics of every table. Partition 0
+// stands for all of them: population is symmetric across warehouses.
+func Analyze(db *storage.Database) {
+	for _, tn := range db.Catalog.Tables() {
+		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
+	}
+}
 
 // ReferenceQ3 evaluates the query sequentially against the database — the
 // correctness oracle every engine's result is compared to (tests only; it

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"anydb/internal/core"
@@ -41,6 +42,18 @@ func sampleSegment() *oltp.Segment {
 	}
 }
 
+// sampleSharedScan sets every field the shared-scan codec carries.
+func sampleSharedScan() *olap.SharedScanSpec {
+	return &olap.SharedScanSpec{
+		Query: 4, Table: tpcc.TOrdersID, Part: 2,
+		Filters: []olap.Predicate{{Col: "year", Kind: olap.PredEqInt, MinI: 2021}},
+		Cols:    []string{"id"}, GroupBy: []string{"d"},
+		Aggs:       []olap.AggExpr{{Fn: olap.AggCount}},
+		DictGroups: true,
+		Out:        31, To: 6, Producers: 4, BatchRows: 512,
+	}
+}
+
 // sampleEvents yields one event per encodable payload type.
 func sampleEvents() []*core.Event {
 	mk := func(kind core.EventKind, payload any) *core.Event {
@@ -53,32 +66,36 @@ func sampleEvents() []*core.Event {
 		mk(core.EvOpDone, &olap.OpDone{Query: 4, Label: "scan:orders"}),
 		mk(core.EvOpDone, &olap.QueryResult{
 			Query: 4, Rows: 3, Cols: []string{"id", "name", "amount"}, Truncated: true,
-			Batches:   []*storage.Batch{sampleBatch()},
-			Collected: []storage.Row{{storage.Int(1), storage.Str("x"), storage.Float(2)}},
+			Batches: []*storage.Batch{sampleBatch()},
 		}),
-		mk(core.EvInstallOp, &olap.ScanSpec{
-			Query: 4, Table: tpcc.TOrdersID, Part: 2,
-			Filters: []olap.Predicate{{Col: "year", Kind: olap.PredEqInt, MinI: 2021}},
-			Cols:    []string{"id"}, Out: 31, To: 6, Producers: 4, ChunkRows: 256, BatchRows: 512,
-		}),
+		mk(core.EvInstallOp, sampleSharedScan()),
+		// The streaming-mode scan a join consumes (Q3's shape).
 		mk(core.EvInstallOp, &olap.SharedScanSpec{
-			Query: 4, Table: tpcc.TOrdersID, Part: 2,
-			Cols: []string{"id"}, GroupBy: []string{"d"},
-			Aggs: []olap.AggExpr{{Fn: olap.AggCount}},
-			Out:  31, To: 6, Producers: 4, BatchRows: 512,
+			Query: 4, Table: tpcc.TCustomerID, Part: 1,
+			Filters: []olap.Predicate{{Col: "c_state", Kind: olap.PredPrefix, Prefix: "A"}},
+			Cols:    []string{"c_d_id", "c_id", "c_w_id"},
+			Out:     31, To: 6, Producers: 4,
 		}),
 		mk(core.EvInstallOp, &olap.JoinSpec{
 			Query: 4, Build: 31, BuildKey: []string{"id"}, Probe: 32, ProbeKey: []string{"oid"},
-			Semi: true, Out: 33, To: 6, Producers: 2, Notify: 1, Label: "q3",
+			Out: 33, To: 6, Producers: 2, Notify: 1, Label: "q3",
 		}),
-		mk(core.EvInstallOp, &olap.AggSpec{Query: 4, In: 33, Notify: 1}),
-		mk(core.EvInstallOp, &olap.CollectSpec{Query: 4, In: 33, Cols: []string{"id"}, Notify: 1}),
+		// Negative AC ids (the client pseudo-AC) and a three-column key.
+		mk(core.EvInstallOp, &olap.JoinSpec{
+			Query: 4, Build: 33, BuildKey: []string{"a", "b", "c"}, Probe: 34, ProbeKey: []string{"x", "y", "z"},
+			Out: 35, To: 7, Producers: 1, Notify: core.ClientAC, Label: "join2",
+		}),
 		mk(core.EvInstallOp, &olap.SinkSpec{
 			Query: 4, In: 33, GroupBy: []string{"d"},
 			Aggs:          []olap.AggExpr{{Fn: olap.AggSum, Col: "amount"}},
 			MergePartials: true, Cols: []string{"d", "amount"}, OutCols: []string{"d", "total"},
 			OutKinds: []storage.Kind{storage.KStr, storage.KFloat}, OutSrc: []int{0, 1},
 			OrderBy: []olap.OrderKey{{Col: 1, Desc: true}}, Limit: 10, Notify: 1,
+		}),
+		// Collect mode: a plain projection, no limit.
+		mk(core.EvInstallOp, &olap.SinkSpec{
+			Query: 4, In: 35, Cols: []string{"id"}, OutCols: []string{"id"},
+			OutKinds: []storage.Kind{storage.KInt}, Limit: -1, Notify: core.ClientAC,
 		}),
 	}
 }
@@ -152,6 +169,30 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if e, d, b := core.PoolBalances(); e != 0 || d != 0 || b != 0 {
 		t.Fatalf("codec round trips leaked pooled objects: %s", core.PoolBalanceString())
+	}
+}
+
+// TestSharedScanSpecFields checks the decoded shared-scan spec field by
+// field. The fixed-point round trip cannot see a field the codec omits
+// on both sides (it re-encodes the zero value identically), so a
+// dropped flag — DictGroups once was — only shows here.
+func TestSharedScanSpecFields(t *testing.T) {
+	want := sampleSharedScan()
+	wire := encodeOne(t, nil, &core.Event{Kind: core.EvInstallOp, Payload: want})
+	r := rbuf{b: wire}
+	m, err := newDecoder(nil).decodeMsg(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := m.(*core.Event).Payload.(*olap.SharedScanSpec)
+	if !ok {
+		t.Fatalf("decoded payload %T, want *olap.SharedScanSpec", m.(*core.Event).Payload)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded spec differs:\n got %+v\nwant %+v", got, want)
+	}
+	if !got.DictGroups {
+		t.Fatal("DictGroups dropped on the wire")
 	}
 }
 

@@ -69,9 +69,7 @@ func ServeNode(ctx context.Context, addr string) error {
 	// vector replays the head's SetOwner calls.
 	db := storage.NewDatabase(w.TC.Warehouses, tpcc.Schemas()...)
 	tpcc.Populate(db, w.TC)
-	for _, tn := range db.Catalog.Tables() {
-		db.Catalog.SetStats(tn, storage.Analyze(db.Partition(0).Table(tn)))
-	}
+	tpcc.Analyze(db)
 	topo := core.NewTopology(db)
 	for s := 0; s < w.Servers; s++ {
 		topo.AddServer(w.Cores)
