@@ -36,7 +36,7 @@ bench-submit:
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention|BenchmarkPaymentPipelined|BenchmarkPaymentDurable|BenchmarkSessionAffinity|BenchmarkRebalance|BenchmarkSharedScanConcurrency|BenchmarkGroupedAgg' \
 		-benchmem -benchtime 0.3s -cpu 1,4 .
 	$(GO) test -run '^$$' -bench 'BenchmarkTopologyRead' -benchmem -benchtime 0.3s -cpu 1,4 ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 0.3s ./internal/olap
+	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkJoinProbe' -benchmem -benchtime 0.3s ./internal/olap
 
 # Machine-readable benchmark summary: per-policy + adaptive throughput
 # on the evolving workload. CI uploads BENCH_PR12.json as an artifact,
@@ -49,18 +49,18 @@ bench-json:
 # Deterministic allocation gate: the pipelined payment path (with
 # Durability=Off — the default; BenchmarkPaymentPipelined never sets
 # Config.Durability, so a WAL hook leaking onto the undurable hot path
-# shows up here) and the shared scan's streaming flush path must report exactly
-# 0 allocs/op. Fixed iteration counts keep the gate reproducible on any
+# shows up here), the shared scan's streaming flush path and the hash
+# join's probe path must report exactly 0 allocs/op. Fixed iteration counts keep the gate reproducible on any
 # machine; the payment path runs 100000x so cold-pool warm-up amortizes
 # below the integer allocs/op floor (a reintroduced per-op allocation
 # still shows as >= 1).
 allocs-gate:
 	@set -e; \
 	out1="$$($(GO) test -run '^$$' -bench 'BenchmarkPaymentPipelined' -benchmem -benchtime 100000x -cpu 4 .)"; \
-	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush' -benchmem -benchtime 100x ./internal/olap)"; \
+	out2="$$($(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkJoinProbe' -benchmem -benchtime 100x ./internal/olap)"; \
 	printf '%s\n%s\n' "$$out1" "$$out2"; \
 	printf '%s\n%s\n' "$$out1" "$$out2" | awk '/^Benchmark/ { a=$$(NF-1)+0; if (a != 0) { print "ALLOCS GATE FAIL: " $$1 " = " a " allocs/op"; bad=1 } } END { exit bad }'; \
-	echo "allocs gate OK: 0 allocs/op on the payment and scan-flush hot paths"
+	echo "allocs gate OK: 0 allocs/op on the payment, scan-flush and join-probe hot paths"
 
 # Two-process cluster smoke: builds the member binary, then runs the
 # head + member demo end to end (payments, new-orders, SQL, and a live

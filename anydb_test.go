@@ -80,15 +80,24 @@ func TestNewOrderCommitAndRollback(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("new-order: ok=%v err=%v", ok, err)
 	}
-	ok, err = c.NewOrder(anydb.NewOrder{
-		Warehouse: 2, District: 1, Customer: 4,
-		Lines: []anydb.OrderLine{{Item: -5, Qty: 1, SupplyWarehouse: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("invalid item committed")
+	// §2.4.1.4 rollbacks: an item id the catalog (Items: 40, ids 0..39)
+	// does not hold — negative or past the end, on a home or a remote
+	// supply line — rolls the whole order back at admission.
+	for _, bad := range []anydb.OrderLine{
+		{Item: -5, Qty: 1, SupplyWarehouse: 2},
+		{Item: 40, Qty: 1, SupplyWarehouse: 2},
+		{Item: 40, Qty: 1, SupplyWarehouse: 3},
+	} {
+		ok, err = c.NewOrder(anydb.NewOrder{
+			Warehouse: 2, District: 1, Customer: 4,
+			Lines: []anydb.OrderLine{{Item: 1, Qty: 2, SupplyWarehouse: 2}, bad},
+		})
+		if err != nil {
+			t.Fatalf("item %d: %v", bad.Item, err)
+		}
+		if ok {
+			t.Fatalf("item %d committed", bad.Item)
+		}
 	}
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)

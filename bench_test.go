@@ -327,6 +327,64 @@ func BenchmarkSharedScanConcurrency(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenOrders measures the paper's Q3 (OpenOrders: customer
+// scan → hash join with orders → hash join with new_order → COUNT)
+// through the public API, Conc1 sequential and Conc8 concurrent. The
+// database matches perfbench's: 600 initial orders per district, so
+// both joins carry thousands of rows and the streaming scan → join →
+// sink path, not per-query fixed costs, dominates. Profile with
+//
+//	go test -run '^$' -bench OpenOrders -benchmem -cpuprofile cpu.prof .
+func BenchmarkOpenOrders(b *testing.B) {
+	cfg := anydb.Config{
+		Warehouses: 4, Districts: 4, CustomersPerDistrict: 2500,
+		InitialOrdersPerDist: 600, Items: 100,
+	}
+	for _, conc := range []int{1, 8} {
+		b.Run(fmt.Sprintf("Conc%d", conc), func(b *testing.B) {
+			c, err := anydb.Open(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			ctx := context.Background()
+			want, err := c.OpenOrders(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if want == 0 {
+				b.Fatal("warm-up OpenOrders matched no rows")
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			start := time.Now()
+			for g := 0; g < conc; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						n, err := c.OpenOrders(ctx)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if n != want {
+							b.Errorf("OpenOrders = %d, want %d", n, want)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if elapsed := time.Since(start); elapsed > 0 {
+				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
+			}
+		})
+	}
+}
+
 // BenchmarkGroupedAgg measures grouped-aggregate throughput on a
 // dictionary-encoded group column: Fast uses the dense fast path
 // (packed group codes index a flat accumulator, one bounds-checked

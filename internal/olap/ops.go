@@ -121,11 +121,29 @@ func (w *Worker) OnEvent(ctx core.Context, ac *core.AC, ev *core.Event) {
 
 // joinState is a two-phase hash join bound to one AC.
 type joinState struct {
-	spec  *JoinSpec
-	ht    map[joinKey][]int32 // build key -> build row indexes
-	build []*storage.Batch
-	out   *storage.Batch
+	spec *JoinSpec
+	// build accumulates every build-side row in arrival order (incoming
+	// batches are copied in and freed at once); probe output gathers
+	// from it by row index.
+	build *storage.Batch
+	// ht maps a build key to the first and last build row holding it;
+	// next chains each row to the following one with the same key, so a
+	// key's matches replay in build-arrival order.
+	ht   map[joinKey]joinChain
+	next []int32
+	out  *storage.Batch
+
+	// Key-column indexes, resolved per batch schema (scan producers on
+	// different partitions each send their own schema instance).
+	buildSchema, probeSchema *storage.Schema
+	buildIdx, probeIdx       []int
+
+	// Probe scratch: the (build row, probe row) pairs of matches not
+	// yet gathered into out.
+	li, ri []int32
 }
+
+type joinChain struct{ first, last int32 }
 
 type joinKey struct {
 	a, b, c int64
@@ -147,8 +165,12 @@ func keyOf(batch *storage.Batch, row int, cols []int) joinKey {
 	return k
 }
 
+func newJoinState(spec *JoinSpec) *joinState {
+	return &joinState{spec: spec, ht: make(map[joinKey]joinChain)}
+}
+
 func newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
-	j := &joinState{spec: spec, ht: make(map[joinKey][]int32)}
+	j := newJoinState(spec)
 	// Consume the build side first; staged (beamed) batches replay
 	// immediately inside Subscribe.
 	ac.Subscribe(ctx, spec.Build, (*joinBuildSink)(j))
@@ -160,23 +182,8 @@ type joinBuildSink joinState
 
 func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	st := (*joinState)(j)
-	costs := ctx.Costs()
 	if msg.Batch != nil {
-		buildCost := costs.HashBuildRow
-		if msg.Prehashed {
-			// DPI flows hash rows in flight (§4 co-processor).
-			buildCost = buildCost * 3 / 4
-		}
-		cols := colIdx(msg.Batch.Schema, st.spec.BuildKey)
-		bi := len(st.build)
-		// Build rows materialize at probe time, so the batch lives
-		// until the probe side closes.
-		st.build = append(st.build, msg.Batch)
-		for r := 0; r < msg.Batch.Len(); r++ {
-			ctx.Charge(buildCost)
-			k := keyOf(msg.Batch, r, cols)
-			st.ht[k] = append(st.ht[k], int32(bi)<<16|int32(r))
-		}
+		st.addBuild(ctx, msg.Batch, msg.Prehashed)
 	}
 	if msg.Last {
 		if st.spec.Notify != core.NoAC {
@@ -190,46 +197,51 @@ func (j *joinBuildSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 	}
 }
 
+// addBuild copies one build batch into the accumulated build side,
+// frees it, and links its rows into the hash table.
+func (st *joinState) addBuild(ctx core.Context, b *storage.Batch, prehashed bool) {
+	buildCost := ctx.Costs().HashBuildRow
+	if prehashed {
+		// DPI flows hash rows in flight (§4 co-processor).
+		buildCost = buildCost * 3 / 4
+	}
+	if st.build == nil {
+		st.build = storage.GetBatch(b.Schema)
+	}
+	base := st.build.Len()
+	st.build.AppendBatch(b)
+	if st.buildSchema != b.Schema {
+		st.buildIdx = resolveCols(st.buildIdx, b.Schema, st.spec.BuildKey)
+		st.buildSchema = b.Schema
+	}
+	for r := 0; r < b.Len(); r++ {
+		ctx.Charge(buildCost)
+		k := keyOf(b, r, st.buildIdx)
+		row := int32(base + r)
+		st.next = append(st.next, -1)
+		if c, ok := st.ht[k]; ok {
+			st.next[c.last] = row
+			st.ht[k] = joinChain{c.first, row}
+		} else {
+			st.ht[k] = joinChain{row, row}
+		}
+	}
+	storage.FreeBatch(b)
+}
+
 type joinProbeSink joinState
 
 func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	st := (*joinState)(j)
 	spec := st.spec
-	costs := ctx.Costs()
 	if msg.Batch != nil {
-		probeCost := costs.HashProbeRow
-		if msg.Prehashed {
-			probeCost = probeCost * 3 / 4
-		}
-		cols := colIdx(msg.Batch.Schema, spec.ProbeKey)
-		if st.out == nil {
-			st.out = storage.GetBatch(outSchema(st, msg.Batch.Schema))
-		}
-		for r := 0; r < msg.Batch.Len(); r++ {
-			ctx.Charge(probeCost)
-			matches := st.ht[keyOf(msg.Batch, r, cols)]
-			if len(matches) == 0 {
-				continue
-			}
-			for _, m := range matches {
-				b := st.build[m>>16]
-				row := append(b.Row(int(m&0xffff)), msg.Batch.Row(r)...)
-				st.out.AppendRow(row)
-			}
-			if st.out.Len() >= DefaultBatchRows {
-				st.emit(ctx, false)
-			}
-		}
-		// AppendRow/Row copy, so the probe batch dies here.
-		storage.FreeBatch(msg.Batch)
+		st.probe(ctx, msg.Batch, msg.Prehashed)
 	}
 	if msg.Last {
 		st.emit(ctx, true)
 		// The join is over: release the build side and the hash table.
-		for _, b := range st.build {
-			storage.FreeBatch(b)
-		}
-		st.build, st.ht = nil, nil
+		storage.FreeBatch(st.build)
+		st.build, st.ht, st.next = nil, nil, nil
 		if spec.Notify != core.NoAC {
 			done := core.GetEvent()
 			done.Kind, done.Query = core.EvOpDone, spec.Query
@@ -237,6 +249,47 @@ func (j *joinProbeSink) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg)
 			ctx.Send(spec.Notify, done)
 		}
 	}
+}
+
+// probe joins one probe batch against the built table and frees it.
+// Matches collect as (build row, probe row) pairs and gather into the
+// output batch a column at a time; the output emits once it holds at
+// least DefaultBatchRows rows, checked after each matching probe row.
+func (st *joinState) probe(ctx core.Context, b *storage.Batch, prehashed bool) {
+	probeCost := ctx.Costs().HashProbeRow
+	if prehashed {
+		probeCost = probeCost * 3 / 4
+	}
+	if st.probeSchema != b.Schema {
+		st.probeIdx = resolveCols(st.probeIdx, b.Schema, st.spec.ProbeKey)
+		st.probeSchema = b.Schema
+	}
+	if st.out == nil {
+		st.out = storage.GetBatch(outSchema(st, b.Schema))
+	}
+	li, ri := st.li[:0], st.ri[:0]
+	for r := 0; r < b.Len(); r++ {
+		ctx.Charge(probeCost)
+		c, ok := st.ht[keyOf(b, r, st.probeIdx)]
+		if !ok {
+			continue
+		}
+		for m := c.first; m >= 0; m = st.next[m] {
+			li = append(li, m)
+			ri = append(ri, int32(r))
+		}
+		if st.out.Len()+len(li) >= DefaultBatchRows {
+			st.out.AppendJoin(st.build, li, b, ri)
+			li, ri = li[:0], ri[:0]
+			st.emit(ctx, false)
+		}
+	}
+	if len(li) > 0 {
+		st.out.AppendJoin(st.build, li, b, ri)
+	}
+	st.li, st.ri = li[:0], ri[:0]
+	// The gathers copied every cell out, so the probe batch dies here.
+	storage.FreeBatch(b)
 }
 
 // emit forwards the accumulated output batch (if any) as one pooled
@@ -259,16 +312,17 @@ func (st *joinState) emit(ctx core.Context, last bool) {
 }
 
 func outSchema(st *joinState, probe *storage.Schema) *storage.Schema {
-	if len(st.build) == 0 {
+	if st.build == nil {
 		return probe
 	}
-	return storage.ConcatSchema("join_out", st.build[0].Schema, probe)
+	return storage.ConcatSchema("join_out", st.build.Schema, probe)
 }
 
-func colIdx(s *storage.Schema, names []string) []int {
-	out := make([]int, len(names))
-	for i, n := range names {
-		out[i] = s.MustCol(n)
+// resolveCols resolves column names against s into dst's storage.
+func resolveCols(dst []int, s *storage.Schema, names []string) []int {
+	dst = dst[:0]
+	for _, n := range names {
+		dst = append(dst, s.MustCol(n))
 	}
-	return out
+	return dst
 }

@@ -455,7 +455,6 @@ type scanReg struct {
 	// Streaming mode.
 	outIdx []int
 	out    *storage.Batch
-	rowBuf storage.Row
 
 	// Aggregate-pushdown mode.
 	groupIdx []int
@@ -571,7 +570,7 @@ func newScanReg(t *storage.Table, spec *SharedScanSpec) *scanReg {
 		r.preds = append(r.preds, compilePred(t.Schema, f))
 	}
 	r.sig = predSignature(r.preds)
-	if spec.BatchRows == 0 {
+	if spec.BatchRows <= 0 {
 		spec.BatchRows = DefaultBatchRows
 	}
 	if len(spec.Aggs) == 0 {
@@ -582,9 +581,8 @@ func newScanReg(t *storage.Table, spec *SharedScanSpec) *scanReg {
 			outCols[i] = t.Schema.Cols[r.outIdx[i]]
 		}
 		r.out = storage.GetBatch(storage.NewSchema(t.Schema.Name+"_scan", outCols...))
-		r.rowBuf = make(storage.Row, len(r.outIdx))
 	} else {
-		r.groupIdx = colIdx(t.Schema, spec.GroupBy)
+		r.groupIdx = resolveCols(nil, t.Schema, spec.GroupBy)
 		r.aggIdx = make([]int, len(spec.Aggs))
 		cols := make([]storage.Column, 0, len(spec.GroupBy)+2*len(spec.Aggs))
 		for i := range spec.GroupBy {
@@ -767,23 +765,25 @@ func matchChunk(c *storage.EncChunk, preds []compiledPred, buf []int32) []int32 
 	return buf
 }
 
-// foldStream appends the matched rows, projected, to the registration's
-// output batch, flushing at batch granularity.
+// foldStream gathers the matched rows, projected, into the
+// registration's output batch a column at a time, splitting the match
+// list at BatchRows boundaries so every emitted batch holds exactly
+// BatchRows rows (the tail flushes at finish).
 func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []int32) {
 	if len(match) == 0 {
 		return
 	}
-	for _, m := range match {
-		for j, c := range r.outIdx {
-			r.rowBuf[j] = chunk.Value(int(m), c)
-		}
-		r.out.AppendRow(r.rowBuf)
+	n := len(match)
+	for len(match) > 0 {
+		take := min(len(match), r.spec.BatchRows-r.out.Len())
+		r.out.AppendGather(chunk, r.outIdx, match[:take])
+		match = match[take:]
 		if r.out.Len() >= r.spec.BatchRows {
 			r.flush(ctx, false)
 		}
 	}
 	if !ctx.Offloaded(r.spec.To) {
-		ctx.Charge(ctx.Costs().PartitionRow * sim.Time(len(match)))
+		ctx.Charge(ctx.Costs().PartitionRow * sim.Time(n))
 	}
 }
 
@@ -954,9 +954,9 @@ func (r *scanReg) tryFoldDense(c *storage.EncChunk, match []int32) ([]int32, boo
 	return nil, true
 }
 
-// denseKey decodes a packed slot back into its group values.
-func (r *scanReg) denseKey(packed int) []storage.Value {
-	vals := make([]storage.Value, len(r.groupIdx))
+// denseKey decodes a packed slot back into its group values, filling
+// vals (len(groupIdx) long).
+func (r *scanReg) denseKey(vals []storage.Value, packed int) []storage.Value {
 	for g := len(r.groupIdx) - 1; g >= 0; g-- {
 		code := packed / r.denseStride[g]
 		packed -= code * r.denseStride[g]
@@ -976,7 +976,7 @@ func (r *scanReg) abandonDense(keyBuf []byte) []byte {
 	for _, packed := range r.denseTouched {
 		p := int(packed)
 		acc := &groupAcc{
-			keyVals: r.denseKey(p),
+			keyVals: r.denseKey(make([]storage.Value, len(r.groupIdx)), p),
 			cells:   make([]aggCell, nA),
 		}
 		copy(acc.cells, r.dense[p*nA:p*nA+nA])
@@ -1008,9 +1008,10 @@ func (r *scanReg) finish(ctx core.Context) {
 		sort.Slice(r.denseTouched, func(a, b int) bool { return r.denseTouched[a] < r.denseTouched[b] })
 		b = storage.GetBatch(r.partial)
 		row := make(storage.Row, 0, r.partial.NumCols())
+		keyVals := make([]storage.Value, len(r.groupIdx))
 		for _, packed := range r.denseTouched {
 			p := int(packed)
-			row = r.appendPartialRow(row[:0], r.denseKey(p), r.dense[p*nA:p*nA+nA])
+			row = r.appendPartialRow(row[:0], r.denseKey(keyVals, p), r.dense[p*nA:p*nA+nA])
 			b.AppendRow(row)
 		}
 	case len(r.order) > 0:

@@ -138,7 +138,7 @@ func (s *sinkState) mergePartials(b *storage.Batch) {
 // foldRaw folds raw stream rows (join output) into the accumulators.
 func (s *sinkState) foldRaw(b *storage.Batch) {
 	if s.resolved != b.Schema {
-		s.groupIdx = colIdx(b.Schema, s.spec.GroupBy)
+		s.groupIdx = resolveCols(s.groupIdx, b.Schema, s.spec.GroupBy)
 		s.aggIdx = make([]int, len(s.spec.Aggs))
 		for j, a := range s.spec.Aggs {
 			s.aggIdx[j] = -1

@@ -202,7 +202,7 @@ func (d *Dispatcher) admit(ctx core.Context, cfg *DispatchConfig, id core.TxnID,
 	// before logging anything, so replay never re-executes an abort.
 	if txn.Kind == tpcc.TxnNewOrder {
 		ctx.Charge(ctx.Costs().IndexLookup * sim.Time(len(txn.NewOrder.Lines)))
-		if !Valid(txn) {
+		if !Valid(txn, d.DB.Partition(txn.NewOrder.W).TableByID(tpcc.TItemID)) {
 			d.failTxn(ctx, cfg, id, txn, client, nil)
 			return
 		}

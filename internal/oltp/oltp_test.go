@@ -206,9 +206,11 @@ func TestNewOrderMixWithAborts(t *testing.T) {
 	mix := tpcc.MixedOLTP()
 	mix.InvalidItemFrac = 0.2 // force plenty of §2.4.1.4 rollbacks
 	txns := genTxns(cfg, mix, 400)
+	catalog, _ := tpcc.NewDatabase(cfg)
+	items := catalog.Partition(0).TableByID(tpcc.TItemID)
 	wantAborts := 0
 	for _, txn := range txns {
-		if !Valid(&txn) {
+		if !Valid(&txn, items) {
 			wantAborts++
 		}
 	}
@@ -322,16 +324,27 @@ func TestProgramShapes(t *testing.T) {
 }
 
 func TestValidDetectsRollback(t *testing.T) {
-	ok := tpcc.Txn{Kind: tpcc.TxnNewOrder, NewOrder: tpcc.NewOrder{
-		Lines: []tpcc.NewOrderLine{{Item: 5}},
-	}}
-	bad := tpcc.Txn{Kind: tpcc.TxnNewOrder, NewOrder: tpcc.NewOrder{
-		Lines: []tpcc.NewOrderLine{{Item: 5}, {Item: -1}},
-	}}
-	if !Valid(&ok) || Valid(&bad) {
-		t.Fatal("Valid broken")
+	cfg := testCfg()
+	db, _ := tpcc.NewDatabase(cfg)
+	items := db.Partition(0).TableByID(tpcc.TItemID)
+	newOrder := func(ids ...int) *tpcc.Txn {
+		txn := &tpcc.Txn{Kind: tpcc.TxnNewOrder}
+		for _, id := range ids {
+			txn.NewOrder.Lines = append(txn.NewOrder.Lines, tpcc.NewOrderLine{Item: id})
+		}
+		return txn
 	}
-	if !Valid(&tpcc.Txn{Kind: tpcc.TxnPayment}) {
+	if !Valid(newOrder(5, 0, cfg.Items-1), items) {
+		t.Fatal("catalogued items rejected")
+	}
+	// Negative, one past the catalog, and an id that would alias a
+	// catalogued item once packed into a key.
+	for _, bad := range []int{-1, cfg.Items, 1<<44 + 5} {
+		if Valid(newOrder(5, bad), items) {
+			t.Fatalf("item %d accepted", bad)
+		}
+	}
+	if !Valid(&tpcc.Txn{Kind: tpcc.TxnPayment}, items) {
 		t.Fatal("payments are always valid")
 	}
 }

@@ -437,15 +437,20 @@ func programInto(ops []Op, t *tpcc.Txn, pools *Pools) ([]Op, *paymentProgram) {
 
 // Valid pre-validates a transaction the way AnyDB's dispatcher does
 // (Calvin-style reconnaissance): new-order item ids are checked against
-// the replicated item catalog before any event is dispatched, so
-// distributed execution never needs cross-AC undo. It returns false for
-// the §2.4.1.4 rollback case.
-func Valid(t *tpcc.Txn) bool {
+// items, the replicated item catalog (any partition's item table),
+// before any event is dispatched, so distributed execution never needs
+// cross-AC undo. It returns false for the §2.4.1.4 rollback case: an
+// id the catalog does not hold, negative or not.
+func Valid(t *tpcc.Txn, items *storage.Table) bool {
 	if t.Kind != tpcc.TxnNewOrder {
 		return true
 	}
 	for _, l := range t.NewOrder.Lines {
-		if l.Item < 0 {
+		key := tpcc.ItemKey(l.Item)
+		if key.ID() != int64(l.Item) {
+			return false // outside the key's id field: never catalogued
+		}
+		if _, ok := items.Lookup(key); !ok {
 			return false
 		}
 	}

@@ -155,6 +155,121 @@ func (b *Batch) AppendRow(row Row) {
 	b.n++
 }
 
+// AppendGather appends rows of an encoded chunk to the batch a column
+// at a time: output column j takes chunk column srcCols[j] at each of
+// the given row indexes. Each source column is decoded once per call —
+// dictionary lookups, frame-of-reference adds or plain copies straight
+// into the typed vectors — with no per-cell Value in between. Bytes
+// accounting is exactly AppendRow's.
+func (b *Batch) AppendGather(c *EncChunk, srcCols []int, rows []int32) {
+	if len(srcCols) != len(b.Cols) {
+		panic(fmt.Sprintf("storage: gather arity mismatch: %d source columns, batch %d", len(srcCols), len(b.Cols)))
+	}
+	for j, sc := range srcCols {
+		src, dst := &c.Cols[sc], &b.Cols[j]
+		checkKind(src.Kind, dst.Kind)
+		switch {
+		case src.Enc == EncDict && src.Kind == KStr:
+			strs, n := src.Dict.strs, int64(0)
+			for _, r := range rows {
+				s := strs[src.Codes[r]]
+				dst.Strs = append(dst.Strs, s)
+				n += int64(len(s)) + 4
+			}
+			b.bytes += n
+		case src.Enc == EncDict:
+			ints := src.Dict.ints
+			for _, r := range rows {
+				dst.Ints = append(dst.Ints, ints[src.Codes[r]])
+			}
+			b.bytes += 8 * int64(len(rows))
+		case src.Enc == EncFoR:
+			for _, r := range rows {
+				dst.Ints = append(dst.Ints, src.Ref+int64(src.Codes[r]))
+			}
+			b.bytes += 8 * int64(len(rows))
+		default:
+			b.bytes += gatherRaw(dst, src.Ints, src.Floats, src.Strs, rows)
+		}
+	}
+	b.n += len(rows)
+}
+
+// AppendJoin appends joined rows: output row k is row li[k] of left
+// followed by row ri[k] of right, so the batch's columns are left's
+// then right's (the ConcatSchema layout). Columns gather one at a time;
+// Bytes accounting is exactly AppendRow's.
+func (b *Batch) AppendJoin(left *Batch, li []int32, right *Batch, ri []int32) {
+	if len(left.Cols)+len(right.Cols) != len(b.Cols) {
+		panic(fmt.Sprintf("storage: join arity mismatch: %d+%d columns, batch %d", len(left.Cols), len(right.Cols), len(b.Cols)))
+	}
+	if len(li) != len(ri) {
+		panic(fmt.Sprintf("storage: join pair mismatch: %d left rows, %d right", len(li), len(ri)))
+	}
+	nl := len(left.Cols)
+	for j := range left.Cols {
+		b.bytes += gatherCol(&b.Cols[j], &left.Cols[j], li)
+	}
+	for j := range right.Cols {
+		b.bytes += gatherCol(&b.Cols[nl+j], &right.Cols[j], ri)
+	}
+	b.n += len(li)
+}
+
+// AppendBatch appends every row of src, which must have the batch's
+// column layout.
+func (b *Batch) AppendBatch(src *Batch) {
+	if len(src.Cols) != len(b.Cols) {
+		panic(fmt.Sprintf("storage: batch arity mismatch: source %d, batch %d", len(src.Cols), len(b.Cols)))
+	}
+	for j := range src.Cols {
+		s, d := &src.Cols[j], &b.Cols[j]
+		checkKind(s.Kind, d.Kind)
+		d.Ints = append(d.Ints, s.Ints...)
+		d.Floats = append(d.Floats, s.Floats...)
+		d.Strs = append(d.Strs, s.Strs...)
+	}
+	b.n += src.n
+	b.bytes += src.bytes
+}
+
+func checkKind(src, dst Kind) {
+	if src != dst {
+		panic(fmt.Sprintf("storage: column kind mismatch: %s into %s", src, dst))
+	}
+}
+
+// gatherCol appends src's cells at rows to dst and returns the bytes
+// they account for.
+func gatherCol(dst, src *ColVec, rows []int32) int64 {
+	checkKind(src.Kind, dst.Kind)
+	return gatherRaw(dst, src.Ints, src.Floats, src.Strs, rows)
+}
+
+// gatherRaw appends the cells at rows of a typed vector (the slice
+// matching dst's kind) to dst and returns the bytes they account for.
+func gatherRaw(dst *ColVec, ints []int64, floats []float64, strs []string, rows []int32) int64 {
+	switch dst.Kind {
+	case KInt:
+		for _, r := range rows {
+			dst.Ints = append(dst.Ints, ints[r])
+		}
+	case KFloat:
+		for _, r := range rows {
+			dst.Floats = append(dst.Floats, floats[r])
+		}
+	default:
+		var n int64
+		for _, r := range rows {
+			s := strs[r]
+			dst.Strs = append(dst.Strs, s)
+			n += int64(len(s)) + 4
+		}
+		return n
+	}
+	return 8 * int64(len(rows))
+}
+
 // AppendValues appends one row given as individual values.
 func (b *Batch) AppendValues(vals ...Value) { b.AppendRow(Row(vals)) }
 
