@@ -31,12 +31,15 @@ bench:
 # documents the group-commit WAL cost next to the Durability=Off
 # baseline (same pipelined shape, Batch mode, one fsync per drain).
 # BenchmarkGroupedAgg compares the dense grouped-aggregate fast path
-# against the hash-map fallback on the same dictionary-encoded query.
+# against the hash-map fallback on the same dictionary-encoded query;
+# BenchmarkGroupMerge times the sink's side of a grouped query alone
+# (4 partials x 676 groups merged into the flat group table and
+# finalized), next to the scan-flush and join-probe hot paths.
 bench-submit:
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmitContention|BenchmarkPaymentPipelined|BenchmarkPaymentDurable|BenchmarkSessionAffinity|BenchmarkRebalance|BenchmarkSharedScanConcurrency|BenchmarkGroupedAgg' \
 		-benchmem -benchtime 0.3s -cpu 1,4 .
 	$(GO) test -run '^$$' -bench 'BenchmarkTopologyRead' -benchmem -benchtime 0.3s -cpu 1,4 ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkJoinProbe' -benchmem -benchtime 0.3s ./internal/olap
+	$(GO) test -run '^$$' -bench 'BenchmarkScanFlush|BenchmarkJoinProbe|BenchmarkGroupMerge' -benchmem -benchtime 0.3s ./internal/olap
 
 # Machine-readable benchmark summary: per-policy + adaptive throughput
 # on the evolving workload. CI uploads BENCH_PR12.json as an artifact,

@@ -11,6 +11,7 @@ package anydb_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -464,6 +465,47 @@ func BenchmarkGroupedAgg(b *testing.B) {
 						b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
 					}
 				})
+			}
+		})
+	}
+}
+
+// BenchmarkCountQuery times the olap-burst "count" query (a global
+// COUNT(*) behind a LIKE filter) one at a time. AfterGC collects twice
+// before each query (outside the timer), so the operators' pools are
+// empty and every query rebuilds its pooled state: the allocations it
+// reports are the no-reuse worst case, Warm the steady state.
+func BenchmarkCountQuery(b *testing.B) {
+	const query = "SELECT COUNT(*) FROM customer WHERE c_state LIKE 'A%'"
+	for _, gc := range []bool{false, true} {
+		name := "Warm"
+		if gc {
+			name = "AfterGC"
+		}
+		b.Run(name, func(b *testing.B) {
+			c, err := anydb.Open(scanBenchConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			ctx := context.Background()
+			var want int64
+			if err := c.QueryRow(ctx, query).Scan(&want); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if gc {
+					b.StopTimer()
+					runtime.GC()
+					runtime.GC()
+					b.StartTimer()
+				}
+				var n int64
+				if err := c.QueryRow(ctx, query).Scan(&n); err != nil || n != want {
+					b.Fatalf("count = %d (err %v), want %d", n, err, want)
+				}
 			}
 		})
 	}

@@ -39,7 +39,22 @@ func (r *batchRecorder) OnData(_ core.Context, _ *core.AC, msg *core.DataMsg) {
 	}
 }
 
-func newJoinRig(t *testing.T) *joinRig {
+// keyHash is the join's key-hash function signature.
+type keyHash = func(dst []uint64, b *storage.Batch, cols []int) []uint64
+
+// collide hashes every key to the same value, so the join's hash table
+// holds one chain and only its key-column check tells rows apart.
+func collide(dst []uint64, b *storage.Batch, _ []int) []uint64 {
+	dst = dst[:0]
+	for i := 0; i < b.Len(); i++ {
+		dst = append(dst, 7)
+	}
+	return dst
+}
+
+// newJoinRig wires the rig; a non-nil hash replaces the join's key
+// hash.
+func newJoinRig(t *testing.T, hash keyHash) *joinRig {
 	t.Helper()
 	db := storage.NewDatabase(1,
 		storage.NewSchema("t", storage.Column{Name: "x", Kind: storage.KInt}))
@@ -47,7 +62,14 @@ func newJoinRig(t *testing.T) *joinRig {
 	ids := topo.AddServer(2)
 	r := &joinRig{ac: ids[0]}
 	r.cl = core.NewSimCluster(topo, sim.DefaultCosts(), func(ac *core.AC) {
-		ac.Register(core.EvInstallOp, &olap.Worker{DB: db})
+		worker := &olap.Worker{DB: db}
+		ac.Register(core.EvInstallOp, core.BehaviorFunc(func(ctx core.Context, ac *core.AC, ev *core.Event) {
+			if spec, ok := ev.Payload.(*olap.JoinSpec); ok && hash != nil {
+				olap.NewJoinWithHash(ctx, ac, spec, hash)
+				return
+			}
+			worker.OnEvent(ctx, ac, ev)
+		}))
 		ac.Register(core.EvControl, core.BehaviorFunc(func(ctx core.Context, ac *core.AC, _ *core.Event) {
 			ac.Subscribe(ctx, 3, &r.rec)
 		}))
@@ -104,6 +126,19 @@ func intBatch(name, col string, vals []int64, base int) *storage.Batch {
 // TestJoinMatchesNestedLoopReference drives random build/probe multisets
 // through the streamed hash join and compares against a nested loop.
 func TestJoinMatchesNestedLoopReference(t *testing.T) {
+	checkJoinMultiset(t, nil)
+}
+
+// TestJoinCollidingKeysMatchReference reruns the join property tests
+// with every key hashing alike: the hash table degenerates to one chain
+// of all build rows, and the probe's key-column check alone must keep
+// the output — rows, order and batch boundaries — the reference's.
+func TestJoinCollidingKeysMatchReference(t *testing.T) {
+	checkJoinMultiset(t, collide)
+	checkJoinOrder(t, collide)
+}
+
+func checkJoinMultiset(t *testing.T, hash keyHash) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		nb, np := rng.Intn(30), rng.Intn(40)
@@ -115,7 +150,7 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 		for i := range probe {
 			probe[i] = int64(rng.Intn(8))
 		}
-		r := newJoinRig(t)
+		r := newJoinRig(t, hash)
 		// Split build/probe into several batches to exercise chunking.
 		r.send(1, "bk", build, 7, 10)
 		r.send(2, "pk", probe, 7, 5) // probe partly beamed before build done
@@ -164,6 +199,10 @@ func TestJoinMatchesNestedLoopReference(t *testing.T) {
 // cut at the same boundaries (an emit once the output holds at least
 // DefaultBatchRows rows, checked after each matching probe row).
 func TestJoinOrderAndBatchesMatchRowReference(t *testing.T) {
+	checkJoinOrder(t, nil)
+}
+
+func checkJoinOrder(t *testing.T, hash keyHash) {
 	rng := rand.New(rand.NewSource(7))
 	build := make([]int64, 130)
 	probe := make([]int64, 260)
@@ -173,7 +212,7 @@ func TestJoinOrderAndBatchesMatchRowReference(t *testing.T) {
 	for i := range probe {
 		probe[i] = int64(rng.Intn(8)) // keys 6 and 7 never match
 	}
-	r := newJoinRig(t)
+	r := newJoinRig(t, hash)
 	r.cl.Inject(r.ac, &core.Event{Kind: core.EvControl}, 0)
 	r.send(1, "bk", build, 37, 10)
 	r.send(2, "pk", probe, 50, 5)

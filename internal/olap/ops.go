@@ -10,6 +10,7 @@ package olap
 
 import (
 	"fmt"
+	"slices"
 
 	"anydb/internal/core"
 	"anydb/internal/storage"
@@ -93,12 +94,17 @@ type OpDone struct {
 
 // Worker is the AC behavior executing installed operators; register it
 // for EvInstallOp on every AC. The shared map holds the AC's live
-// shared-scan cursors (sharedscan.go); it is only ever touched by the
-// owning AC's handler, so it needs no lock.
+// shared-scan cursors (sharedscan.go); stepSigs maps each predicate
+// signature evaluated on the chunk being driven to its match buffer in
+// matchBufs. The map is cleared every step, the buffers are kept across
+// busy periods. All of it is only ever touched by the owning AC's
+// handler, so it needs no lock.
 type Worker struct {
 	DB *storage.Database
 
-	shared map[sharedKey]*sharedScan
+	shared    map[sharedKey]*sharedScan
+	stepSigs  map[string]int
+	matchBufs [][]int32
 }
 
 // OnEvent implements core.Behavior.
@@ -126,54 +132,64 @@ type joinState struct {
 	// batches are copied in and freed at once); probe output gathers
 	// from it by row index.
 	build *storage.Batch
-	// ht maps a build key to the first and last build row holding it;
-	// next chains each row to the following one with the same key, so a
-	// key's matches replay in build-arrival order.
-	ht   map[joinKey]joinChain
+	// ht maps a key hash to the first and last build row with that
+	// hash; next chains each row to the following one with the same
+	// hash, so a probe walks its candidates in build-arrival order and
+	// keeps those whose key columns match.
+	ht   map[uint64]joinChain
 	next []int32
 	out  *storage.Batch
+	// hash writes the key hash of every row of a batch (hashKeys; a
+	// field so tests can force collisions).
+	hash func(dst []uint64, b *storage.Batch, cols []int) []uint64
 
 	// Key-column indexes, resolved per batch schema (scan producers on
 	// different partitions each send their own schema instance).
 	buildSchema, probeSchema *storage.Schema
 	buildIdx, probeIdx       []int
 
-	// Probe scratch: the (build row, probe row) pairs of matches not
-	// yet gathered into out.
+	// Scratch: the current batch's key hashes, and the (build row,
+	// probe row) pairs of matches not yet gathered into out.
+	hs     []uint64
 	li, ri []int32
 }
 
 type joinChain struct{ first, last int32 }
 
-type joinKey struct {
-	a, b, c int64
-}
-
-func keyOf(batch *storage.Batch, row int, cols []int) joinKey {
-	var k joinKey
-	for i, c := range cols {
-		v := batch.Cols[c].Ints[row]
-		switch i {
-		case 0:
-			k.a = v
-		case 1:
-			k.b = v
-		default:
-			k.c = v
+// hashKeys writes into dst the hash of each row's int key columns cols,
+// a column at a time: every key folds into the running hash through a
+// fixed 64-bit mixer (SplitMix64's finalizer), so single-column keys
+// never collide and multi-column ones only by a 64-bit accident.
+func hashKeys(dst []uint64, b *storage.Batch, cols []int) []uint64 {
+	n := b.Len()
+	dst = slices.Grow(dst[:0], n)[:n]
+	clear(dst)
+	for _, c := range cols {
+		for r, v := range b.Cols[c].Ints[:n] {
+			dst[r] = mix64(dst[r] ^ uint64(v))
 		}
 	}
-	return k
+	return dst
+}
+
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 func newJoinState(spec *JoinSpec) *joinState {
-	return &joinState{spec: spec, ht: make(map[joinKey]joinChain)}
+	return &joinState{spec: spec, ht: make(map[uint64]joinChain), hash: hashKeys}
 }
 
 func newJoin(ctx core.Context, ac *core.AC, spec *JoinSpec) {
-	j := newJoinState(spec)
+	startJoin(ctx, ac, newJoinState(spec))
+}
+
+func startJoin(ctx core.Context, ac *core.AC, j *joinState) {
 	// Consume the build side first; staged (beamed) batches replay
 	// immediately inside Subscribe.
-	ac.Subscribe(ctx, spec.Build, (*joinBuildSink)(j))
+	ac.Subscribe(ctx, j.spec.Build, (*joinBuildSink)(j))
 }
 
 // joinBuildSink and joinProbeSink give the two phases distinct OnData
@@ -214,16 +230,16 @@ func (st *joinState) addBuild(ctx core.Context, b *storage.Batch, prehashed bool
 		st.buildIdx = resolveCols(st.buildIdx, b.Schema, st.spec.BuildKey)
 		st.buildSchema = b.Schema
 	}
-	for r := 0; r < b.Len(); r++ {
+	st.hs = st.hash(st.hs, b, st.buildIdx)
+	for r, h := range st.hs {
 		ctx.Charge(buildCost)
-		k := keyOf(b, r, st.buildIdx)
 		row := int32(base + r)
 		st.next = append(st.next, -1)
-		if c, ok := st.ht[k]; ok {
+		if c, ok := st.ht[h]; ok {
 			st.next[c.last] = row
-			st.ht[k] = joinChain{c.first, row}
+			st.ht[h] = joinChain{c.first, row}
 		} else {
-			st.ht[k] = joinChain{row, row}
+			st.ht[h] = joinChain{row, row}
 		}
 	}
 	storage.FreeBatch(b)
@@ -267,16 +283,19 @@ func (st *joinState) probe(ctx core.Context, b *storage.Batch, prehashed bool) {
 	if st.out == nil {
 		st.out = storage.GetBatch(outSchema(st, b.Schema))
 	}
+	st.hs = st.hash(st.hs, b, st.probeIdx)
 	li, ri := st.li[:0], st.ri[:0]
-	for r := 0; r < b.Len(); r++ {
+	for r, h := range st.hs {
 		ctx.Charge(probeCost)
-		c, ok := st.ht[keyOf(b, r, st.probeIdx)]
+		c, ok := st.ht[h]
 		if !ok {
 			continue
 		}
 		for m := c.first; m >= 0; m = st.next[m] {
-			li = append(li, m)
-			ri = append(ri, int32(r))
+			if st.keysEqual(m, b, r) {
+				li = append(li, m)
+				ri = append(ri, int32(r))
+			}
 		}
 		if st.out.Len()+len(li) >= DefaultBatchRows {
 			st.out.AppendJoin(st.build, li, b, ri)
@@ -290,6 +309,17 @@ func (st *joinState) probe(ctx core.Context, b *storage.Batch, prehashed bool) {
 	st.li, st.ri = li[:0], ri[:0]
 	// The gathers copied every cell out, so the probe batch dies here.
 	storage.FreeBatch(b)
+}
+
+// keysEqual reports whether build row m and probe row r of b agree on
+// every key column.
+func (st *joinState) keysEqual(m int32, b *storage.Batch, r int) bool {
+	for k, bc := range st.buildIdx {
+		if st.build.Cols[bc].Ints[m] != b.Cols[st.probeIdx[k]].Ints[r] {
+			return false
+		}
+	}
+	return true
 }
 
 // emit forwards the accumulated output batch (if any) as one pooled

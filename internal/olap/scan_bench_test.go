@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"strconv"
 	"testing"
 
 	"anydb/internal/core"
@@ -127,5 +128,73 @@ func BenchmarkJoinProbe(b *testing.B) {
 	b.StopTimer()
 	if ctx.rows == 0 || ctx.batches == 0 {
 		b.Fatalf("join produced nothing (rows=%d batches=%d)", ctx.rows, ctx.batches)
+	}
+}
+
+// groupMergeQuery is one GROUP BY c_state, COUNT(*) query's sink side:
+// parts partial batches of groups groups each (the shared-scan partial
+// layout), merged and finalized; the result batches are freed as a
+// draining client would.
+type groupMergeQuery struct {
+	spec     *SinkSpec
+	partials []*storage.Batch
+	msg      core.DataMsg
+}
+
+func newGroupMergeQuery(parts, groups int) *groupMergeQuery {
+	q := &groupMergeQuery{spec: &SinkSpec{
+		Query: 1, In: 1, GroupBy: []string{"c_state"}, Aggs: []AggExpr{{Fn: AggCount}},
+		MergePartials: true,
+		OutCols:       []string{"c_state", "count"},
+		OutKinds:      []storage.Kind{storage.KStr, storage.KInt},
+		OutSrc:        []int{0, 1}, Limit: -1,
+	}}
+	schema := storage.NewSchema("customer_partial",
+		storage.Column{Name: "g0", Kind: storage.KStr},
+		storage.Column{Name: "p0", Kind: storage.KInt})
+	for p := 0; p < parts; p++ {
+		b := storage.NewBatch(schema)
+		for g := 0; g < groups; g++ {
+			// Each partition lists its groups in its own order, as dense
+			// partials (packed-code order) do.
+			k := (g*7 + p*13) % groups
+			b.AppendValues(storage.Str(string(rune('A'+k/26%26))+string(rune('A'+k%26))+strconv.Itoa(k/676)),
+				storage.Int(int64(k+p)))
+		}
+		q.partials = append(q.partials, b)
+	}
+	return q
+}
+
+func (q *groupMergeQuery) run(ctx core.Context) *QueryResult {
+	s := newSinkState(q.spec)
+	for _, p := range q.partials {
+		q.msg.Batch = storage.GetBatch(p.Schema)
+		q.msg.Batch.AppendBatch(p)
+		s.OnData(ctx, nil, &q.msg) // frees the batch
+	}
+	res := s.result()
+	for _, b := range res.Batches {
+		storage.FreeBatch(b)
+	}
+	return res
+}
+
+// BenchmarkGroupMerge measures the sink's side of a grouped aggregate:
+// 4 shared-scan partials of 676 groups each (GROUP BY c_state, COUNT(*)
+// over four partitions) merged into the sink's group table and
+// finalized into result batches.
+//
+//	go test -bench GroupMerge -benchmem ./internal/olap
+func BenchmarkGroupMerge(b *testing.B) {
+	q := newGroupMergeQuery(4, 676)
+	ctx := &flushSink{costs: sim.DefaultCosts()}
+	q.run(ctx) // warm: table, batch and map pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := q.run(ctx); res.Rows != 676 {
+			b.Fatalf("merged %d groups, want 676", res.Rows)
+		}
 	}
 }

@@ -3,8 +3,8 @@ package olap
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"anydb/internal/core"
@@ -350,96 +350,6 @@ func compilePred(schema *storage.Schema, pred Predicate) compiledPred {
 	return cp
 }
 
-// aggCell is one accumulator: which fields are live depends on the
-// aggregate function (count for COUNT/AVG, sumI/sumF for SUM, sumF for
-// AVG, cur/seen for MIN/MAX).
-type aggCell struct {
-	count int64
-	sumI  int64
-	sumF  float64
-	cur   storage.Value
-	seen  bool
-}
-
-func (c *aggCell) addRaw(fn AggFn, v storage.Value) {
-	switch fn {
-	case AggCount:
-		c.count++
-	case AggSum:
-		if v.Kind == storage.KInt {
-			c.sumI += v.I
-		} else {
-			c.sumF += v.F
-		}
-	case AggAvg:
-		c.count++
-		if v.Kind == storage.KInt {
-			c.sumF += float64(v.I)
-		} else {
-			c.sumF += v.F
-		}
-	case AggMin:
-		if !c.seen || v.Compare(c.cur) < 0 {
-			c.cur, c.seen = v, true
-		}
-	case AggMax:
-		if !c.seen || v.Compare(c.cur) > 0 {
-			c.cur, c.seen = v, true
-		}
-	}
-}
-
-// groupAcc is one group's accumulators plus its key values (kept for
-// output).
-type groupAcc struct {
-	keyVals []storage.Value
-	cells   []aggCell
-}
-
-// appendKeyVal appends one value's canonical group-key encoding to buf
-// (NUL-terminated; kinds are fixed per column so the encoding cannot
-// collide across kinds). Every group-key producer — batch rows at the
-// sink, encoded chunks at the scan, dense-slot migration — goes through
-// this one helper, so their keys merge identically.
-func appendKeyVal(buf []byte, v storage.Value) []byte {
-	switch v.Kind {
-	case storage.KInt:
-		buf = strconv.AppendInt(buf, v.I, 10)
-	case storage.KFloat:
-		buf = strconv.AppendFloat(buf, v.F, 'g', -1, 64)
-	default:
-		buf = append(buf, v.S...)
-	}
-	return append(buf, 0)
-}
-
-// encodeGroupKey appends the canonical encoding of the group columns of
-// batch row i to buf.
-func encodeGroupKey(buf []byte, b *storage.Batch, i int, cols []int) []byte {
-	for _, c := range cols {
-		buf = appendKeyVal(buf, b.Value(i, c))
-	}
-	return buf
-}
-
-// encodeChunkKey is encodeGroupKey over an encoded chunk: values decode
-// per cell, so chunks with different encodings of the same table (a
-// dictionary chunk next to a raw one) produce identical keys.
-func encodeChunkKey(buf []byte, c *storage.EncChunk, i int, cols []int) []byte {
-	for _, col := range cols {
-		buf = appendKeyVal(buf, c.Value(i, col))
-	}
-	return buf
-}
-
-// encodeValsKey is encodeGroupKey over already-materialized values.
-func encodeValsKey(buf []byte, vals []storage.Value) []byte {
-	for _, v := range vals {
-		buf = appendKeyVal(buf, v)
-	}
-	return buf
-}
-
 // scanReg is one query's registration with a shared cursor.
 type scanReg struct {
 	spec  *SharedScanSpec
@@ -456,34 +366,66 @@ type scanReg struct {
 	outIdx []int
 	out    *storage.Batch
 
-	// Aggregate-pushdown mode.
+	// Aggregate-pushdown mode: the grouped state (drawn from the pool at
+	// registration, returned at finish).
 	groupIdx []int
 	aggIdx   []int // source column per aggregate; -1 for COUNT(*)
 	partial  *storage.Schema
-	groups   map[string]*groupAcc
-	order    []string  // insertion-ordered keys, sorted at emit
-	global   *groupAcc // fast path: the single group of a global aggregate
+	table    *groupTable
 
 	// Dense grouped-aggregate fast path (spec.DictGroups): group codes
-	// pack into one flat accumulator slot per combination — a
-	// bounds-checked array index per row instead of a key encode + map
-	// probe. Initialized lazily at the first dictionary-encoded chunk;
-	// abandoned (state migrated into groups) if a chunk arrives with a
-	// different encoding or a code outgrows the slack-padded dims.
-	denseOK      bool      // hinted, enabled, and not abandoned
-	denseReady   bool      // dims/strides sized, dense allocated
-	dense        []aggCell // len = slots × len(Aggs)
-	denseSeen    []bool
-	denseTouched []int32 // touched packed slots, first-touch order
-	denseDims    []int
-	denseStride  []int
-	denseDicts   []*storage.Dict
+	// pack into one slot per combination, and the slot maps to a group
+	// id — a bounds-checked array index per row instead of a key encode
+	// + map probe. The slab is drawn from the pool at the first
+	// dictionary-encoded chunk and abandoned (groups registered in the
+	// table's map) if a chunk arrives with a different encoding or a
+	// code outgrows the slack-padded dims.
+	denseOK bool // hinted, enabled, and not abandoned
+	dense   *denseSlab
 }
 
 // denseSlotCap bounds the dense accumulator's group-combination space.
 // Past it (high-cardinality or many-column groupings) the map path is
 // the right tool anyway.
 const denseSlotCap = 4096
+
+// denseSlab is the dense path's slot table: ids[slot] is the group id
+// + 1 of a packed code combination (0: untouched), and slots lists the
+// packed slot of each group, by id. Slabs are recycled across
+// registrations through densePool; release clears only the touched
+// slots.
+type denseSlab struct {
+	ids   [denseSlotCap]int32
+	size  int // slots in use: the product of dims
+	slots []int32
+	dims  []int // per group column: code bound (dictionary size + slack)
+	strd  []int // per group column: packing stride
+	dicts []*storage.Dict
+}
+
+var densePool = sync.Pool{New: func() any { return new(denseSlab) }}
+
+// bySlot returns the ids of the touched slots in slot (packed code)
+// order, in buf's storage.
+func (d *denseSlab) bySlot(buf []int32) []int32 {
+	buf = buf[:0]
+	for _, id := range d.ids[:d.size] {
+		if id > 0 {
+			buf = append(buf, id-1)
+		}
+	}
+	return buf
+}
+
+// release clears the slab's touched slots and returns it to the pool.
+func (d *denseSlab) release() {
+	for _, s := range d.slots {
+		d.ids[s] = 0
+	}
+	d.slots = d.slots[:0]
+	clear(d.dicts)
+	densePool.Put(d)
+}
 
 // groupedFastPath gates the dense grouped-aggregate path globally; the
 // benchmark suite flips it off to measure the map-probe baseline.
@@ -496,13 +438,6 @@ func init() { groupedFastPath.Store(true) }
 // default; exists so benchmarks can pin either path.
 func SetGroupedAggFastPath(on bool) bool { return groupedFastPath.Swap(on) }
 
-// matchBuf caches one predicate signature's matched rows for the chunk
-// of the current step (valid while step == sharedScan.steps).
-type matchBuf struct {
-	rows []int32
-	step uint64
-}
-
 // sharedScan is the per-(table, partition) shared cursor state, owned
 // by the partition's AC.
 type sharedScan struct {
@@ -510,16 +445,28 @@ type sharedScan struct {
 	cursor int
 	regs   []*scanReg
 	ev     *core.Event // the driver continuation, re-sent per chunk
-	keyBuf []byte      // scratch: group-key encoding
+}
 
-	// Predicate evaluation is shared across registrations, not just the
-	// chunk fetch: all registrations whose filters have the same
-	// canonical signature reuse one matchChunk evaluation per chunk.
-	// steps increments once per driven chunk (cursor positions repeat
-	// across passes, so the step counter is the validity token); buffers
-	// live as long as the cursor does — one busy period.
-	steps    uint64
-	sigMatch map[string]*matchBuf
+// matchFor returns the rows of chunk (the chunk of the current step)
+// matching preds, whose signature is sig: evaluated on the first call of
+// the step for sig, shared by the later ones. Each step hands out the
+// Worker's buffers in first-use order, so it keeps as many as the most
+// signatures one chunk has served — at most the registrations riding a
+// cursor — and they outlive the busy period, already grown.
+func (w *Worker) matchFor(sig string, chunk *storage.EncChunk, preds []compiledPred) []int32 {
+	if i, ok := w.stepSigs[sig]; ok {
+		return w.matchBufs[i]
+	}
+	if w.stepSigs == nil {
+		w.stepSigs = make(map[string]int)
+	}
+	i := len(w.stepSigs)
+	if i == len(w.matchBufs) {
+		w.matchBufs = append(w.matchBufs, nil)
+	}
+	w.matchBufs[i] = matchChunk(chunk, preds, w.matchBufs[i])
+	w.stepSigs[sig] = i
+	return w.matchBufs[i]
 }
 
 // attachShared registers spec with the shared cursor, creating (and
@@ -584,32 +531,15 @@ func newScanReg(t *storage.Table, spec *SharedScanSpec) *scanReg {
 	} else {
 		r.groupIdx = resolveCols(nil, t.Schema, spec.GroupBy)
 		r.aggIdx = make([]int, len(spec.Aggs))
-		cols := make([]storage.Column, 0, len(spec.GroupBy)+2*len(spec.Aggs))
-		for i := range spec.GroupBy {
-			cols = append(cols, storage.Column{
-				Name: fmt.Sprintf("g%d", i), Kind: t.Schema.Cols[r.groupIdx[i]].Kind,
-			})
-		}
 		for j, a := range spec.Aggs {
 			r.aggIdx[j] = -1
-			srcKind := storage.KInt
 			if a.Fn != AggCount {
 				r.aggIdx[j] = t.Schema.MustCol(a.Col)
-				srcKind = t.Schema.Cols[r.aggIdx[j]].Kind
-			}
-			switch a.Fn {
-			case AggCount:
-				cols = append(cols, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: storage.KInt})
-			case AggAvg:
-				cols = append(cols,
-					storage.Column{Name: fmt.Sprintf("p%d_s", j), Kind: storage.KFloat},
-					storage.Column{Name: fmt.Sprintf("p%d_c", j), Kind: storage.KInt})
-			default:
-				cols = append(cols, storage.Column{Name: fmt.Sprintf("p%d", j), Kind: srcKind})
 			}
 		}
-		r.partial = storage.NewSchema(t.Schema.Name+"_partial", cols...)
-		r.groups = make(map[string]*groupAcc)
+		layout := partialLayout(t.Schema, r.groupIdx, r.aggIdx, spec.Aggs)
+		r.partial = storage.NewSchema(t.Schema.Name+"_partial", layout...)
+		r.table = getGroupTable(spec.Aggs, len(r.groupIdx), layout)
 		r.denseOK = spec.DictGroups && len(spec.GroupBy) > 0 && groupedFastPath.Load()
 	}
 	return r
@@ -653,26 +583,15 @@ func (ss *sharedScan) step(ctx core.Context, w *Worker) {
 			// paid once however many registrations ride this pass.
 			chunk = t.ColChunk(ci)
 			ctx.Charge(costs.ScanRow * sim.Time(chunk.Len()))
-			ss.steps++
+			clear(w.stepSigs)
 		}
 		// Registrations with the same predicate signature share one
 		// evaluation of this chunk.
-		mb := ss.sigMatch[r.sig]
-		if mb == nil {
-			if ss.sigMatch == nil {
-				ss.sigMatch = make(map[string]*matchBuf)
-			}
-			mb = &matchBuf{}
-			ss.sigMatch[r.sig] = mb
-		}
-		if mb.step != ss.steps {
-			mb.rows = matchChunk(chunk, r.preds, mb.rows)
-			mb.step = ss.steps
-		}
+		match := w.matchFor(r.sig, chunk, r.preds)
 		if len(r.spec.Aggs) == 0 {
-			r.foldStream(ctx, chunk, mb.rows)
+			r.foldStream(ctx, chunk, match)
 		} else {
-			ss.keyBuf = r.foldAgg(ctx, chunk, mb.rows, ss.keyBuf)
+			r.foldAgg(ctx, chunk, match)
 		}
 		r.done++
 		r.next++
@@ -787,287 +706,178 @@ func (r *scanReg) foldStream(ctx core.Context, chunk *storage.EncChunk, match []
 	}
 }
 
-// foldAgg folds the matched rows into the registration's grouped
-// accumulators, returning the (possibly grown) key scratch buffer.
-func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int32, keyBuf []byte) []byte {
+// foldAgg folds the matched rows into the registration's group table:
+// group ids first (all 0 for a global aggregate, a slab index on the
+// dense path, a key-map probe otherwise), then each aggregate a column
+// at a time.
+func (r *scanReg) foldAgg(ctx core.Context, chunk *storage.EncChunk, match []int32) {
 	if len(match) == 0 {
-		return keyBuf
+		return
 	}
 	ctx.Charge(ctx.Costs().AggRow * sim.Time(len(match)))
+	t := r.table
 	if len(r.groupIdx) == 0 {
-		// Global aggregate: one accumulator, no per-row group-key encode
-		// or map lookup; COUNT folds a whole chunk in O(1).
-		acc := r.global
-		if acc == nil {
-			acc = &groupAcc{cells: make([]aggCell, len(r.spec.Aggs))}
-			r.global = acc
-			r.groups[""] = acc
-			r.order = append(r.order, "")
-		}
-		for j := range acc.cells {
-			if fn := r.spec.Aggs[j].Fn; fn == AggCount {
-				acc.cells[j].count += int64(len(match))
-			} else {
-				c := r.aggIdx[j]
-				for _, m := range match {
-					acc.cells[j].addRaw(fn, chunk.Value(int(m), c))
-				}
-			}
-		}
-		return keyBuf
+		t.foldChunk(chunk, match, t.globalIDs(len(match)), r.aggIdx)
+		return
 	}
 	if r.denseOK {
-		rest, ok := r.tryFoldDense(chunk, match)
+		ids, ok := r.denseIDs(chunk, match) // a prefix of match, possibly empty, when !ok
+		t.foldChunk(chunk, match[:len(ids)], ids, r.aggIdx)
 		if ok {
-			return keyBuf
+			return
 		}
 		// The fast path bowed out (non-dictionary chunk, dimension
 		// overflow, or too many group combinations — denseOK is now
-		// false): migrate what it accumulated into the map and fold the
+		// false): register its groups in the key map and fold the
 		// remaining rows there.
-		keyBuf = r.abandonDense(keyBuf)
-		match = rest
+		if r.dense != nil {
+			t.registerAll()
+			r.dense.release()
+			r.dense = nil
+		}
+		match = match[len(ids):]
 	}
+	t.sizeMap(len(match))
+	ids := t.rowIDs[:0]
 	for _, m := range match {
-		i := int(m)
-		keyBuf = encodeChunkKey(keyBuf[:0], chunk, i, r.groupIdx)
-		acc := r.groups[string(keyBuf)]
-		if acc == nil {
-			acc = &groupAcc{cells: make([]aggCell, len(r.spec.Aggs))}
-			acc.keyVals = make([]storage.Value, len(r.groupIdx))
-			for j, c := range r.groupIdx {
-				acc.keyVals[j] = chunk.Value(i, c)
-			}
-			key := string(keyBuf)
-			r.groups[key] = acc
-			r.order = append(r.order, key)
-		}
-		for j := range acc.cells {
-			var v storage.Value
-			if r.aggIdx[j] >= 0 {
-				v = chunk.Value(i, r.aggIdx[j])
-			}
-			acc.cells[j].addRaw(r.spec.Aggs[j].Fn, v)
-		}
+		ids = append(ids, t.chunkGroup(chunk, int(m), r.groupIdx))
 	}
-	return keyBuf
+	t.rowIDs = ids
+	t.foldChunk(chunk, match, ids, r.aggIdx)
 }
 
-// initDense sizes the dense accumulator from the group columns'
+// initDense draws a slab and sizes it from the group columns'
 // dictionaries, padding each dimension with slack so codes assigned
 // later in the pass (the dictionary grows as dirtied chunks rebuild)
 // still land in range. Reports false when a group column is not
 // dictionary-encoded in this chunk or the combination space exceeds
 // denseSlotCap.
 func (r *scanReg) initDense(c *storage.EncChunk) bool {
-	nG := len(r.groupIdx)
-	dims := make([]int, nG)
-	dicts := make([]*storage.Dict, nG)
-	slots := 1
-	for g, col := range r.groupIdx {
+	d := densePool.Get().(*denseSlab)
+	d.dims, d.strd, d.dicts = d.dims[:0], d.strd[:0], d.dicts[:0]
+	size := 1
+	for _, col := range r.groupIdx {
 		v := &c.Cols[col]
 		if v.Enc != storage.EncDict {
+			d.release()
 			return false
 		}
-		d := v.Dict
-		dim := d.Len() + d.Len()/2 + 8
-		dims[g], dicts[g] = dim, d
-		slots *= dim
-		if slots > denseSlotCap {
+		dim := v.Dict.Len() + v.Dict.Len()/2 + 8
+		d.dims, d.strd, d.dicts = append(d.dims, dim), append(d.strd, size), append(d.dicts, v.Dict)
+		size *= dim
+		if size > denseSlotCap {
+			d.release()
 			return false
 		}
 	}
-	stride := make([]int, nG)
-	s := 1
-	for g := 0; g < nG; g++ {
-		stride[g] = s
-		s *= dims[g]
-	}
-	r.dense = make([]aggCell, slots*len(r.spec.Aggs))
-	r.denseSeen = make([]bool, slots)
-	r.denseDims, r.denseStride, r.denseDicts = dims, stride, dicts
-	r.denseReady = true
+	d.size, r.dense = size, d
 	return true
 }
 
-// tryFoldDense folds the matched rows into the dense accumulator.
-// ok=false means the fast path just died (denseOK cleared); the
-// returned slice is the unfolded tail of match, which the caller folds
-// via the map path after migrating the dense state.
-func (r *scanReg) tryFoldDense(c *storage.EncChunk, match []int32) ([]int32, bool) {
-	if !r.denseReady && !r.initDense(c) {
+// denseIDs resolves the matched rows' group ids through the dense slab,
+// creating groups on first touch, and returns them (in the table's
+// row-id scratch). ok=false means the fast path just died (denseOK
+// cleared): the ids cover only a prefix of match, and the caller folds
+// the rest via the key map.
+func (r *scanReg) denseIDs(c *storage.EncChunk, match []int32) (ids []int32, ok bool) {
+	if r.dense == nil && !r.initDense(c) {
 		r.denseOK = false
-		return match, false
+		return nil, false
 	}
+	d := r.dense
 	for g, col := range r.groupIdx {
 		v := &c.Cols[col]
-		if v.Enc != storage.EncDict || v.Dict != r.denseDicts[g] {
+		if v.Enc != storage.EncDict || v.Dict != d.dicts[g] {
 			r.denseOK = false
-			return match, false
+			return nil, false
 		}
 	}
-	nA := len(r.spec.Aggs)
-	aggs := r.spec.Aggs
-	if len(r.groupIdx) == 1 && nA == 1 && aggs[0].Fn == AggCount {
-		// The headline shape — GROUP BY one dictionary column, COUNT(*):
-		// one bounds-checked array index per row, nothing else.
-		codes := c.Cols[r.groupIdx[0]].Codes
-		dim := r.denseDims[0]
-		for mi, m := range match {
+	t := r.table
+	ids = t.rowIDs[:0]
+	defer func() { t.rowIDs = ids }()
+	if len(r.groupIdx) == 1 {
+		// The headline shape — GROUP BY one dictionary column: the code
+		// is the slot.
+		codes, dim := c.Cols[r.groupIdx[0]].Codes, d.dims[0]
+		for _, m := range match {
 			code := int(codes[m])
 			if code >= dim {
 				r.denseOK = false
-				return match[mi:], false
+				return ids, false
 			}
-			if !r.denseSeen[code] {
-				r.denseSeen[code] = true
-				r.denseTouched = append(r.denseTouched, int32(code))
+			id := d.ids[code] - 1
+			if id < 0 {
+				id = r.denseGroup(c, m, code)
 			}
-			r.dense[code].count++
+			ids = append(ids, id)
 		}
-		return nil, true
+		return ids, true
 	}
-	for mi, m := range match {
-		i := int(m)
+	for _, m := range match {
 		packed := 0
 		for g, col := range r.groupIdx {
-			code := int(c.Cols[col].Codes[i])
-			if code >= r.denseDims[g] {
+			code := int(c.Cols[col].Codes[m])
+			if code >= d.dims[g] {
 				r.denseOK = false
-				return match[mi:], false
+				return ids, false
 			}
-			packed += code * r.denseStride[g]
+			packed += code * d.strd[g]
 		}
-		if !r.denseSeen[packed] {
-			r.denseSeen[packed] = true
-			r.denseTouched = append(r.denseTouched, int32(packed))
+		id := d.ids[packed] - 1
+		if id < 0 {
+			id = r.denseGroup(c, m, packed)
 		}
-		cells := r.dense[packed*nA : packed*nA+nA]
-		for j := range cells {
-			var v storage.Value
-			if r.aggIdx[j] >= 0 {
-				v = c.Value(i, r.aggIdx[j])
-			}
-			cells[j].addRaw(aggs[j].Fn, v)
-		}
+		ids = append(ids, id)
 	}
-	return nil, true
+	return ids, true
 }
 
-// denseKey decodes a packed slot back into its group values, filling
-// vals (len(groupIdx) long).
-func (r *scanReg) denseKey(vals []storage.Value, packed int) []storage.Value {
-	for g := len(r.groupIdx) - 1; g >= 0; g-- {
-		code := packed / r.denseStride[g]
-		packed -= code * r.denseStride[g]
-		vals[g] = r.denseDicts[g].DecodeValue(uint32(code))
+// denseGroup creates the group of chunk row m, whose codes pack to slot.
+func (r *scanReg) denseGroup(c *storage.EncChunk, m int32, slot int) int32 {
+	t, d := r.table, r.dense
+	id := t.addGroup()
+	for k, col := range r.groupIdx {
+		t.cols[k].AppendValue(c.Value(int(m), col))
 	}
-	return vals
-}
-
-// abandonDense migrates the dense accumulator's touched slots into the
-// map representation — keys encoded exactly as the map path encodes
-// them, so both halves of a converted pass merge as one group set.
-func (r *scanReg) abandonDense(keyBuf []byte) []byte {
-	if !r.denseReady {
-		return keyBuf
-	}
-	nA := len(r.spec.Aggs)
-	for _, packed := range r.denseTouched {
-		p := int(packed)
-		acc := &groupAcc{
-			keyVals: r.denseKey(make([]storage.Value, len(r.groupIdx)), p),
-			cells:   make([]aggCell, nA),
-		}
-		copy(acc.cells, r.dense[p*nA:p*nA+nA])
-		keyBuf = encodeValsKey(keyBuf[:0], acc.keyVals)
-		key := string(keyBuf)
-		r.groups[key] = acc
-		r.order = append(r.order, key)
-	}
-	r.dense, r.denseSeen, r.denseTouched = nil, nil, nil
-	r.denseReady = false
-	return keyBuf
+	d.ids[slot] = id + 1
+	d.slots = append(d.slots, int32(slot))
+	return id
 }
 
 // finish detaches the registration: streaming mode flushes the tail
 // batch with the Last marker; pushdown mode emits the partial-aggregate
-// batch (group-key-sorted for determinism) and Last.
+// batch and Last. Partial rows are ordered deterministically by
+// content — packed dictionary code on the dense path, canonical group
+// key otherwise — and gather from the table a column at a time.
 func (r *scanReg) finish(ctx core.Context) {
 	if len(r.spec.Aggs) == 0 {
 		r.flush(ctx, true)
 		return
 	}
 	var b *storage.Batch
-	nA := len(r.spec.Aggs)
-	switch {
-	case r.denseReady && len(r.denseTouched) > 0:
-		// Dense fast path: decode packed group codes back to values once
-		// per touched group, in packed-code order (content-deterministic;
-		// the sink re-sorts groups by encoded key before finalizing).
-		sort.Slice(r.denseTouched, func(a, b int) bool { return r.denseTouched[a] < r.denseTouched[b] })
-		b = storage.GetBatch(r.partial)
-		row := make(storage.Row, 0, r.partial.NumCols())
-		keyVals := make([]storage.Value, len(r.groupIdx))
-		for _, packed := range r.denseTouched {
-			p := int(packed)
-			row = r.appendPartialRow(row[:0], r.denseKey(keyVals, p), r.dense[p*nA:p*nA+nA])
-			b.AppendRow(row)
+	if t := r.table; t.n > 0 {
+		var order []int32
+		switch {
+		case len(r.groupIdx) == 0:
+			order = iota32(t.rowIDs, 1)
+		case r.dense != nil:
+			order = r.dense.bySlot(t.rowIDs)
+		default:
+			order = t.byKey(t.rowIDs)
 		}
-	case len(r.order) > 0:
-		sort.Strings(r.order)
 		b = storage.GetBatch(r.partial)
-		row := make(storage.Row, 0, r.partial.NumCols())
-		for _, k := range r.order {
-			acc := r.groups[k]
-			row = r.appendPartialRow(row[:0], acc.keyVals, acc.cells)
-			b.AppendRow(row)
-		}
+		b.AppendVecs(t.cols, order)
 	}
-	r.groups, r.order, r.global = nil, nil, nil
-	r.dense, r.denseSeen, r.denseTouched, r.denseReady = nil, nil, nil, false
+	if r.dense != nil {
+		r.dense.release()
+		r.dense = nil
+	}
+	r.table.release()
+	r.table = nil
 	msg := core.GetDataMsg()
 	msg.Stream, msg.Query, msg.Last, msg.Producers = r.spec.Out, r.spec.Query, true, r.spec.Producers
 	msg.Batch = b
 	ctx.SendData(r.spec.To, msg)
-}
-
-// appendPartialRow appends one group's partial-layout cells (group
-// values, then per-aggregate accumulator columns) to row.
-func (r *scanReg) appendPartialRow(row storage.Row, keyVals []storage.Value, cells []aggCell) storage.Row {
-	row = append(row, keyVals...)
-	for j := range cells {
-		cell := &cells[j]
-		switch r.spec.Aggs[j].Fn {
-		case AggCount:
-			row = append(row, storage.Int(cell.count))
-		case AggSum:
-			if r.partial.Cols[len(keyVals)+partialWidth(r.spec.Aggs[:j])].Kind == storage.KInt {
-				row = append(row, storage.Int(cell.sumI))
-			} else {
-				row = append(row, storage.Float(cell.sumF))
-			}
-		case AggAvg:
-			row = append(row, storage.Float(cell.sumF), storage.Int(cell.count))
-		default: // min/max
-			row = append(row, cell.cur)
-		}
-	}
-	return row
-}
-
-// partialWidth returns how many partial-layout columns the given
-// aggregate prefix occupies (AVG takes two).
-func partialWidth(aggs []AggExpr) int {
-	n := 0
-	for _, a := range aggs {
-		if a.Fn == AggAvg {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
 }
 
 // flush emits the registration's accumulated streaming batch as one

@@ -1,7 +1,7 @@
 package olap
 
 import (
-	"sort"
+	"slices"
 
 	"anydb/internal/core"
 	"anydb/internal/sim"
@@ -51,19 +51,22 @@ type OrderKey struct {
 	Desc bool
 }
 
-// sinkState accumulates one query's result.
+// sinkState accumulates one query's result: aggregate modes fold into
+// a group table created at the first batch; collect mode appends the
+// projected cells to result-typed vectors.
 type sinkState struct {
 	spec      *SinkSpec
-	groups    map[string]*groupAcc
-	order     []string
-	rows      []storage.Row
+	table     *groupTable
+	vecs      []storage.ColVec
+	n         int // collected rows
 	truncated bool
-	keyBuf    []byte
 
-	// Raw-fold column resolution, cached per batch schema.
+	// Column resolution (raw-fold group and aggregate columns, or the
+	// collect projection), cached per batch schema.
 	resolved *storage.Schema
 	groupIdx []int
 	aggIdx   []int
+	projIdx  []int
 
 	// Partial-merge scratch: the partial layout leads with the group
 	// columns, so the index list is the identity — built once here, not
@@ -72,182 +75,146 @@ type sinkState struct {
 }
 
 func newSink(ctx core.Context, ac *core.AC, spec *SinkSpec) {
+	ac.Subscribe(ctx, spec.In, newSinkState(spec))
+}
+
+func newSinkState(spec *SinkSpec) *sinkState {
 	s := &sinkState{spec: spec}
-	if len(spec.Aggs) > 0 {
-		s.groups = make(map[string]*groupAcc)
-	}
 	if spec.MergePartials {
 		s.partIdx = make([]int, len(spec.GroupBy))
 		for i := range s.partIdx {
 			s.partIdx[i] = i
 		}
 	}
-	ac.Subscribe(ctx, spec.In, s)
+	if len(spec.Aggs) == 0 {
+		s.vecs = make([]storage.ColVec, len(spec.OutKinds))
+		for i, k := range spec.OutKinds {
+			s.vecs[i].Kind = k
+		}
+	}
+	return s
 }
 
 func (s *sinkState) OnData(ctx core.Context, ac *core.AC, msg *core.DataMsg) {
 	if msg.Batch != nil {
 		ctx.Charge(ctx.Costs().AggRow * sim.Time(msg.Batch.Len()))
-		switch {
-		case s.spec.MergePartials:
-			s.mergePartials(msg.Batch)
-		case len(s.spec.Aggs) > 0:
-			s.foldRaw(msg.Batch)
-		default:
-			s.collect(msg.Batch)
+		if msg.Batch.Len() > 0 {
+			switch {
+			case s.spec.MergePartials:
+				s.mergePartials(msg.Batch)
+			case len(s.spec.Aggs) > 0:
+				s.foldRaw(msg.Batch)
+			default:
+				s.collect(msg.Batch)
+			}
 		}
 		storage.FreeBatch(msg.Batch)
 	}
 	if msg.Last {
-		s.finalize(ctx, ac)
+		res := s.result()
+		ac.DropStream(s.spec.In)
+		done := core.GetEvent()
+		done.Kind, done.Query = core.EvQueryDone, s.spec.Query
+		done.Payload = res
+		ctx.Send(s.spec.Notify, done)
 	}
+}
+
+// groupIDs returns the group of every row of b (group columns cols) in
+// the table's row-id scratch.
+func (s *sinkState) groupIDs(b *storage.Batch, cols []int) []int32 {
+	t := s.table
+	if len(s.spec.GroupBy) == 0 {
+		return t.globalIDs(b.Len())
+	}
+	t.sizeMap(b.Len())
+	ids := t.rowIDs[:0]
+	for r := 0; r < b.Len(); r++ {
+		ids = append(ids, t.batchGroup(b, r, cols))
+	}
+	t.rowIDs = ids
+	return ids
 }
 
 // mergePartials folds partial-aggregate rows (shared-scan partial
-// layout) into the sink's accumulators.
+// layout) into the sink's group table.
 func (s *sinkState) mergePartials(b *storage.Batch) {
-	g := len(s.spec.GroupBy)
-	for r := 0; r < b.Len(); r++ {
-		acc := s.acc(b, r, s.partIdx)
-		col := g
-		for j, a := range s.spec.Aggs {
-			cell := &acc.cells[j]
-			switch a.Fn {
-			case AggCount:
-				cell.count += b.Cols[col].Ints[r]
-				col++
-			case AggSum:
-				if b.Cols[col].Kind == storage.KInt {
-					cell.sumI += b.Cols[col].Ints[r]
-				} else {
-					cell.sumF += b.Cols[col].Floats[r]
-				}
-				col++
-			case AggAvg:
-				cell.sumF += b.Cols[col].Floats[r]
-				cell.count += b.Cols[col+1].Ints[r]
-				col += 2
-			default: // min/max merge by comparison
-				cell.addRaw(a.Fn, b.Value(r, col))
-				col++
-			}
-		}
+	if s.table == nil {
+		s.table = getGroupTable(s.spec.Aggs, len(s.spec.GroupBy), b.Schema.Cols)
 	}
+	s.table.merge(b, s.groupIDs(b, s.partIdx))
 }
 
-// foldRaw folds raw stream rows (join output) into the accumulators.
+// foldRaw folds raw stream rows (join output) into the group table.
 func (s *sinkState) foldRaw(b *storage.Batch) {
 	if s.resolved != b.Schema {
 		s.groupIdx = resolveCols(s.groupIdx, b.Schema, s.spec.GroupBy)
-		s.aggIdx = make([]int, len(s.spec.Aggs))
-		for j, a := range s.spec.Aggs {
-			s.aggIdx[j] = -1
+		s.aggIdx = s.aggIdx[:0]
+		for _, a := range s.spec.Aggs {
+			c := -1
 			if a.Fn != AggCount {
-				s.aggIdx[j] = b.Schema.MustCol(a.Col)
+				c = b.Schema.MustCol(a.Col)
 			}
+			s.aggIdx = append(s.aggIdx, c)
 		}
 		s.resolved = b.Schema
 	}
-	for r := 0; r < b.Len(); r++ {
-		acc := s.acc(b, r, s.groupIdx)
-		for j := range acc.cells {
-			var v storage.Value
-			if s.aggIdx[j] >= 0 {
-				v = b.Value(r, s.aggIdx[j])
-			}
-			acc.cells[j].addRaw(s.spec.Aggs[j].Fn, v)
-		}
+	if s.table == nil {
+		s.table = getGroupTable(s.spec.Aggs, len(s.groupIdx),
+			partialLayout(b.Schema, s.groupIdx, s.aggIdx, s.spec.Aggs))
 	}
+	s.table.foldBatch(b, s.groupIDs(b, s.groupIdx), s.aggIdx)
 }
 
-// acc finds or creates the group accumulator for row r.
-func (s *sinkState) acc(b *storage.Batch, r int, groupIdx []int) *groupAcc {
-	s.keyBuf = encodeGroupKey(s.keyBuf[:0], b, r, groupIdx)
-	acc := s.groups[string(s.keyBuf)]
-	if acc == nil {
-		acc = &groupAcc{cells: make([]aggCell, len(s.spec.Aggs))}
-		if len(groupIdx) > 0 {
-			acc.keyVals = make([]storage.Value, len(groupIdx))
-			for j, c := range groupIdx {
-				acc.keyVals[j] = b.Value(r, c)
-			}
-		}
-		key := string(s.keyBuf)
-		s.groups[key] = acc
-		s.order = append(s.order, key)
-	}
-	return acc
-}
-
-// collect appends projected rows (no aggregation).
+// collect appends projected rows (no aggregation), up to CollectCap.
 func (s *sinkState) collect(b *storage.Batch) {
-	proj := b.Project(s.spec.Cols...)
-	for r := 0; r < proj.Len(); r++ {
-		if len(s.rows) >= CollectCap {
-			s.truncated = true
-			break
-		}
-		s.rows = append(s.rows, proj.Row(r))
+	if s.resolved != b.Schema {
+		s.projIdx = resolveCols(s.projIdx, b.Schema, s.spec.Cols)
+		s.resolved = b.Schema
 	}
-	storage.FreeBatch(proj)
+	take := min(b.Len(), CollectCap-s.n)
+	if take < b.Len() {
+		s.truncated = true
+	}
+	for i, c := range s.projIdx {
+		src, dst := &b.Cols[c], &s.vecs[i]
+		for r := 0; r < take; r++ {
+			dst.AppendValue(src.Value(r))
+		}
+	}
+	s.n += take
 }
 
-// finalize orders, limits, and batches the result, then reports it.
-func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
+// result orders, limits, and batches the query's result. Rows are
+// never materialized: the result columns are typed vectors (the group
+// table's key and finalized aggregate columns, or the collected cells),
+// ORDER BY permutes an index, and each result batch gathers a column at
+// a time.
+func (s *sinkState) result() *QueryResult {
 	spec := s.spec
-	var out []storage.Row
+	vecs, order := s.vecs, iota32(nil, s.n)
 	if len(spec.Aggs) > 0 {
-		// Deterministic group order: sort by encoded group key. ORDER BY,
-		// when present, re-sorts below.
-		sort.Strings(s.order)
-		if len(s.order) == 0 && len(spec.GroupBy) == 0 {
-			// Global aggregate over zero rows still yields one row
-			// (COUNT(*) = 0; sums and extrema zero-valued — no NULLs in
-			// this value model).
-			out = append(out, s.zeroRow())
-		}
-		// Result kind of each aggregate, recovered from its SELECT slot
-		// (every aggregate came from a select item, so one exists).
-		base := len(spec.GroupBy)
-		aggKind := make([]storage.Kind, len(spec.Aggs))
-		for i, src := range spec.OutSrc {
-			if src >= base {
-				aggKind[src-base] = spec.OutKinds[i]
-			}
-		}
-		vals := make(storage.Row, base+len(spec.Aggs))
-		for _, k := range s.order {
-			acc := s.groups[k]
-			copy(vals, acc.keyVals)
-			for j := range acc.cells {
-				vals[base+j] = finalizeCell(spec.Aggs[j].Fn, aggKind[j], &acc.cells[j])
-			}
-			row := make(storage.Row, len(spec.OutSrc))
-			for i, src := range spec.OutSrc {
-				row[i] = vals[src]
-			}
-			out = append(out, row)
-		}
-	} else {
-		out = s.rows
+		vecs, order = s.aggResult()
 	}
 	if len(spec.OrderBy) > 0 {
-		sort.SliceStable(out, func(a, b int) bool {
+		slices.SortStableFunc(order, func(a, b int32) int {
 			for _, k := range spec.OrderBy {
-				c := out[a][k.Col].Compare(out[b][k.Col])
-				if c == 0 {
-					continue
+				c := vecs[k.Col].Value(int(a)).Compare(vecs[k.Col].Value(int(b)))
+				if c != 0 {
+					if k.Desc {
+						return -c
+					}
+					return c
 				}
-				return (c < 0) != k.Desc
 			}
-			return false
+			return 0
 		})
 	}
-	if spec.Limit >= 0 && len(out) > spec.Limit {
-		out = out[:spec.Limit]
+	if spec.Limit >= 0 && len(order) > spec.Limit {
+		order = order[:spec.Limit]
 	}
-	if len(out) > CollectCap {
-		out = out[:CollectCap]
+	if len(order) > CollectCap {
+		order = order[:CollectCap]
 		s.truncated = true
 	}
 
@@ -257,60 +224,49 @@ func (s *sinkState) finalize(ctx core.Context, ac *core.AC) {
 	}
 	schema := storage.NewSchema("result", cols...)
 	var batches []*storage.Batch
-	var cur *storage.Batch
-	for _, row := range out {
-		if cur == nil || cur.Len() >= DefaultBatchRows {
-			cur = storage.GetBatch(schema)
-			batches = append(batches, cur)
-		}
-		cur.AppendRow(row)
+	for i := 0; i < len(order); i += DefaultBatchRows {
+		b := storage.GetBatch(schema)
+		b.AppendVecs(vecs, order[i:min(i+DefaultBatchRows, len(order))])
+		batches = append(batches, b)
 	}
-
-	s.groups, s.order, s.rows = nil, nil, nil
-	ac.DropStream(spec.In)
-	done := core.GetEvent()
-	done.Kind, done.Query = core.EvQueryDone, spec.Query
-	done.Payload = &QueryResult{
-		Query: spec.Query, Rows: int64(len(out)),
+	if s.table != nil {
+		s.table.release()
+	}
+	s.table, s.vecs = nil, nil
+	return &QueryResult{
+		Query: spec.Query, Rows: int64(len(order)),
 		Cols: spec.OutCols, Batches: batches, Truncated: s.truncated,
 	}
-	ctx.Send(spec.Notify, done)
 }
 
-// zeroRow synthesizes the zero-input global-aggregate result row in
-// SELECT order.
-func (s *sinkState) zeroRow() storage.Row {
+// aggResult returns the aggregate result columns in SELECT order and
+// the row order: groups by canonical key. A global aggregate over zero
+// rows still yields one row (COUNT(*) = 0; sums and extrema
+// zero-valued — no NULLs in this value model).
+func (s *sinkState) aggResult() ([]storage.ColVec, []int32) {
 	spec := s.spec
-	row := make(storage.Row, len(spec.OutSrc))
-	for i := range spec.OutSrc {
-		switch spec.OutKinds[i] {
-		case storage.KInt:
-			row[i] = storage.Int(0)
-		case storage.KFloat:
-			row[i] = storage.Float(0)
-		default:
-			row[i] = storage.Str("")
+	vecs := make([]storage.ColVec, len(spec.OutSrc))
+	t := s.table
+	if t == nil || t.n == 0 {
+		if len(spec.GroupBy) > 0 {
+			return vecs, nil
+		}
+		for i, k := range spec.OutKinds {
+			vecs[i].Kind = k
+			vecs[i].AppendValue(storage.Value{Kind: k})
+		}
+		return vecs, []int32{0}
+	}
+	base := len(spec.GroupBy)
+	for i, src := range spec.OutSrc {
+		if src < base {
+			vecs[i] = t.cols[src]
+		} else {
+			vecs[i] = t.finalized(src - base)
 		}
 	}
-	return row
-}
-
-// finalizeCell turns an accumulator into its result value.
-func finalizeCell(fn AggFn, kind storage.Kind, c *aggCell) storage.Value {
-	switch fn {
-	case AggCount:
-		return storage.Int(c.count)
-	case AggSum:
-		if kind == storage.KFloat {
-			return storage.Float(c.sumF)
-		}
-		return storage.Int(c.sumI)
-	case AggAvg:
-		if c.count == 0 {
-			return storage.Float(0)
-		}
-		return storage.Float(c.sumF / float64(c.count))
-	default:
-		return c.cur
+	if base == 0 {
+		return vecs, []int32{0}
 	}
+	return vecs, t.byKey(t.rowIDs)
 }

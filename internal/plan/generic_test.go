@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"anydb/internal/core"
@@ -31,7 +32,11 @@ type sqlHarness struct {
 
 func newSQLHarness(t *testing.T) *sqlHarness {
 	t.Helper()
-	cfg := planCfg()
+	return newSQLHarnessCfg(t, planCfg())
+}
+
+func newSQLHarnessCfg(t *testing.T, cfg tpcc.Config) *sqlHarness {
+	t.Helper()
 	db, _ := tpcc.NewDatabase(cfg)
 	topo := core.NewTopology(db)
 	s1 := topo.AddServer(4)
@@ -263,6 +268,48 @@ func TestSQLGroupedAggregates(t *testing.T) {
 		wantAvg := float64(a.sum) / float64(a.n)
 		if math.Abs(r[5].F-wantAvg) > 1e-9 {
 			t.Fatalf("group %d avg = %v, want %v", d, r[5].F, wantAvg)
+		}
+	}
+}
+
+// TestSQLGroupByHighCardinality: groupings the dense grouped-aggregate
+// path cannot take fall back to the key map with correct counts. c_id
+// has more distinct values per chunk than an int dictionary holds, so
+// its chunks arrive frame-of-reference encoded; c_first (and c_last
+// with c_d_id) are dictionary-encoded but their padded code space
+// exceeds the dense slab.
+func TestSQLGroupByHighCardinality(t *testing.T) {
+	cfg := tpcc.Config{Warehouses: 2, Districts: 2, Customers: 1500,
+		Items: 40, InitOrders: 10, Seed: 8}.WithDefaults()
+	for _, cols := range [][]string{{"c_id"}, {"c_first"}, {"c_last", "c_d_id"}} {
+		h := newSQLHarnessCfg(t, cfg)
+		want := map[string]int64{}
+		for w := 0; w < cfg.Warehouses; w++ {
+			ct := h.db.Partition(w).Table(tpcc.TCustomer)
+			ct.Scan(func(_ int32, r storage.Row) bool {
+				var key []byte
+				for _, c := range cols {
+					key = append(key, r[ct.Schema.MustCol(c)].String()...)
+					key = append(key, 0)
+				}
+				want[string(key)]++
+				return true
+			})
+		}
+		text := "SELECT " + strings.Join(cols, ", ") + ", COUNT(*) FROM customer GROUP BY " + strings.Join(cols, ", ")
+		rows := resultRows(h.run(t, text))
+		if len(rows) != len(want) {
+			t.Fatalf("%s: groups = %d, want %d", text, len(rows), len(want))
+		}
+		for _, r := range rows {
+			var key []byte
+			for i := range cols {
+				key = append(key, r[i].String()...)
+				key = append(key, 0)
+			}
+			if n := r[len(cols)].I; n != want[string(key)] {
+				t.Fatalf("%s: group %v count = %d, want %d", text, r[:len(cols)], n, want[string(key)])
+			}
 		}
 	}
 }

@@ -15,7 +15,9 @@ type ColVec struct {
 	Strs   []string
 }
 
-func (c *ColVec) appendValue(v Value) {
+// AppendValue appends v's payload to the vector (v must have the
+// column's kind).
+func (c *ColVec) AppendValue(v Value) {
 	switch c.Kind {
 	case KInt:
 		c.Ints = append(c.Ints, v.I)
@@ -26,8 +28,8 @@ func (c *ColVec) appendValue(v Value) {
 	}
 }
 
-// value materializes row i of the column as a Value.
-func (c *ColVec) value(i int) Value {
+// Value materializes row i of the column as a Value.
+func (c *ColVec) Value(i int) Value {
 	switch c.Kind {
 	case KInt:
 		return Int(c.Ints[i])
@@ -35,6 +37,18 @@ func (c *ColVec) value(i int) Value {
 		return Float(c.Floats[i])
 	default:
 		return Str(c.Strs[i])
+	}
+}
+
+// Set overwrites row i of the column with v's payload.
+func (c *ColVec) Set(i int, v Value) {
+	switch c.Kind {
+	case KInt:
+		c.Ints[i] = v.I
+	case KFloat:
+		c.Floats[i] = v.F
+	default:
+		c.Strs[i] = v.S
 	}
 }
 
@@ -149,7 +163,7 @@ func (b *Batch) AppendRow(row Row) {
 		panic(fmt.Sprintf("storage: batch arity mismatch: row %d, batch %d", len(row), len(b.Cols)))
 	}
 	for i := range row {
-		b.Cols[i].appendValue(row[i])
+		b.Cols[i].AppendValue(row[i])
 		b.bytes += row[i].size()
 	}
 	b.n++
@@ -216,6 +230,21 @@ func (b *Batch) AppendJoin(left *Batch, li []int32, right *Batch, ri []int32) {
 	b.n += len(li)
 }
 
+// AppendVecs appends rows gathered from loose column vectors: output
+// column j takes src[j]'s cells at each of the given row indexes, so an
+// operator keeping its state in typed vectors (a grouped-aggregate
+// table) emits it a column at a time. Bytes accounting is exactly
+// AppendRow's.
+func (b *Batch) AppendVecs(src []ColVec, rows []int32) {
+	if len(src) != len(b.Cols) {
+		panic(fmt.Sprintf("storage: vector arity mismatch: %d vectors, batch %d", len(src), len(b.Cols)))
+	}
+	for j := range src {
+		b.bytes += gatherCol(&b.Cols[j], &src[j], rows)
+	}
+	b.n += len(rows)
+}
+
 // AppendBatch appends every row of src, which must have the batch's
 // column layout.
 func (b *Batch) AppendBatch(src *Batch) {
@@ -277,13 +306,13 @@ func (b *Batch) AppendValues(vals ...Value) { b.AppendRow(Row(vals)) }
 func (b *Batch) Row(i int) Row {
 	r := make(Row, len(b.Cols))
 	for c := range b.Cols {
-		r[c] = b.Cols[c].value(i)
+		r[c] = b.Cols[c].Value(i)
 	}
 	return r
 }
 
 // Value returns the cell at (row, col) without materializing the row.
-func (b *Batch) Value(row, col int) Value { return b.Cols[col].value(row) }
+func (b *Batch) Value(row, col int) Value { return b.Cols[col].Value(row) }
 
 // Len returns the row count.
 func (b *Batch) Len() int { return b.n }
@@ -303,8 +332,8 @@ func (b *Batch) Project(cols ...string) *Batch {
 	out := GetBatch(NewSchema(b.Schema.Name+"_proj", outCols...))
 	for r := 0; r < b.n; r++ {
 		for i, src := range idxs {
-			v := b.Cols[src].value(r)
-			out.Cols[i].appendValue(v)
+			v := b.Cols[src].Value(r)
+			out.Cols[i].AppendValue(v)
 			out.bytes += v.size()
 		}
 	}

@@ -177,3 +177,32 @@ func TestAppendJoinAndBatchMatchRowReference(t *testing.T) {
 			again.Len(), again.Bytes(), 2*want.Len(), 2*want.Bytes())
 	}
 }
+
+// TestAppendVecsMatchesRowReference: gathering rows from loose typed
+// vectors — in any order, repeated, across two calls, onto a non-empty
+// batch — yields the cells and Bytes that AppendRow of the same rows
+// does.
+func TestAppendVecsMatchesRowReference(t *testing.T) {
+	schema := NewSchema("v",
+		Column{Name: "s", Kind: KStr}, Column{Name: "i", Kind: KInt}, Column{Name: "f", Kind: KFloat})
+	vecs := []ColVec{{Kind: KStr}, {Kind: KInt}, {Kind: KFloat}}
+	for i := 0; i < 9; i++ {
+		vecs[0].AppendValue(Str(fmt.Sprintf("key-%d", i*i)))
+		vecs[1].AppendValue(Int(int64(i - 4)))
+		vecs[2].AppendValue(Float(float64(i) / 8))
+	}
+	rows := []int32{8, 0, 3, 3, 5, 1}
+	want, got := NewBatch(schema), NewBatch(schema)
+	want.AppendValues(Str("first"), Int(1), Float(2))
+	got.AppendValues(Str("first"), Int(1), Float(2))
+	for _, r := range rows {
+		row := make(Row, len(vecs))
+		for c := range vecs {
+			row[c] = vecs[c].Value(int(r))
+		}
+		want.AppendRow(row)
+	}
+	got.AppendVecs(vecs, rows[:2])
+	got.AppendVecs(vecs, rows[2:])
+	sameBatch(t, "AppendVecs", got, want)
+}
